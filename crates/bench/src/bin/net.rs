@@ -21,11 +21,7 @@
 //!
 //! Two architecture sweeps ride along:
 //!
-//! * `rpc` vs `rpc_threaded` — the evented (readiness-driven) front-end
-//!   against the thread-per-connection baseline on the same payloads, so
-//!   the single-connection latency cost of the event loop is a measured
-//!   number, not a claim,
-//! * `conn_sweep` — the evented server holding 1/64/1k/10k *idle*
+//! * `conn_sweep` — the server holding 1/64/1k/10k *idle*
 //!   connections (capped by the fd soft limit) while a small active
 //!   subset keeps inferring: per-connection memory and the p50 under
 //!   flood are the capacity story,
@@ -250,54 +246,6 @@ fn bench_source(records: &mut Vec<Record>, src: usize, sc: &Scale, smoke: bool) 
         rss_mb: 0.0,
     });
 
-    // Thread-per-connection baseline: the same wire behind the blocking
-    // architecture, so the event loop's single-connection latency cost is
-    // a measured delta.
-    #[cfg(unix)]
-    {
-        let threaded_server = NetServer::bind(
-            tiny_model(sc.model_side),
-            NetOptions {
-                evented: false,
-                live: live_opts(sc.model_side),
-                ..NetOptions::default()
-            },
-        )
-        .expect("bind threaded loopback");
-        let threaded_client = NetClient::connect(
-            threaded_server.local_addr(),
-            ClientOptions {
-                pool: sc.clients.min(4),
-                ..ClientOptions::default()
-            },
-        )
-        .expect("connect threaded loopback");
-        let (th_mean, th_p50, th_rate, th_n) = closed_loop(sc.clients, sc.reqs_per_client, |_| {
-            threaded_client.infer(&jpeg).expect("threaded rpc infer");
-        });
-        println!(
-            "threaded baseline: p50 {:>8.1} us mean {:>8.1} us (evented p50 {:>8.1} us)",
-            th_p50 * 1e6,
-            th_mean * 1e6,
-            rpc_p50 * 1e6,
-        );
-        records.push(Record {
-            bench: "net",
-            variant: "rpc_threaded",
-            shape: shape.clone(),
-            clients: sc.clients,
-            mean_latency_s: th_mean,
-            p50_latency_s: th_p50,
-            rate: th_rate,
-            rpc_time_s: 0.0,
-            rpc_share: ((th_mean - inproc_mean) / th_mean).max(0.0),
-            completed: th_n,
-            shed: 0,
-            idle_conns: 0,
-            rss_mb: 0.0,
-        });
-    }
-
     // Open-loop Poisson at ~50% of the measured closed-loop capacity:
     // below saturation, latency should stay near the closed-loop value
     // and nothing should shed.
@@ -464,26 +412,14 @@ fn rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Whether the evented front-end is active (mirrors `NetOptions::default`).
-fn evented_mode() -> bool {
-    match std::env::var("VSERVE_NET_EVENTED") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "true" | "yes" | "on"
-        ),
-        Err(_) => cfg!(unix),
-    }
-}
-
-/// Connection-scaling sweep: hold N idle connections open on the evented
-/// server while a 4-client subset keeps inferring; record the p50 under
+/// Connection-scaling sweep: hold N idle connections open on the server
+/// while a 4-client subset keeps inferring; record the p50 under
 /// flood and the resident-set growth the idle connections cost.
 fn bench_conn_scaling(records: &mut Vec<Record>, sc: &Scale, smoke: bool) {
     let fd_budget = vserve_net::fd_soft_limit()
         .map(|l| (l.saturating_sub(512)) / 2)
         .unwrap_or(1024) as usize;
-    let evented = evented_mode();
-    println!("\n--- connection scaling (fd budget {fd_budget}, evented={evented}) ---");
+    println!("\n--- connection scaling (fd budget {fd_budget}) ---");
 
     let side = sc.model_side;
     let jpeg = synthetic_jpeg(&ImageSpec::new(side * 2, side * 2, 0), 23);
@@ -492,12 +428,6 @@ fn bench_conn_scaling(records: &mut Vec<Record>, sc: &Scale, smoke: bool) {
 
     for &want in &sc.idle_levels {
         let n = want.min(fd_budget);
-        if !evented && n > 64 {
-            // Thread-per-connection burns a thread per idle socket; the
-            // high levels are exactly what that architecture cannot do.
-            println!("{want:>6} idle: skipped (threaded mode)");
-            continue;
-        }
         let server = NetServer::bind(
             tiny_model(side),
             NetOptions {

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use vserve_device::{ImageSpec, NodeConfig};
 use vserve_dnn::{models, Model};
 use vserve_sched::{DrrPicker, LaneView, Priority, TenantSpec};
-use vserve_server::live::{LiveOptions, LiveServer};
+use vserve_server::live::{LiveOptions, LiveServer, Request, Target};
 use vserve_server::{Experiment, ModelProfile, ServerConfig};
 use vserve_workload::{synthetic_jpeg, ImageMix};
 
@@ -139,7 +139,7 @@ fn pace_lane(server: &LiveServer, lane: usize, rate: f64, dur: Duration) -> Side
         if elapsed < target {
             std::thread::sleep(target - elapsed);
         }
-        rxs.push(server.submit_lane(lane, jpeg.clone()));
+        rxs.push(server.submit_request(to_lane(lane, jpeg.clone())));
     }
     let mut lats = Vec::with_capacity(total);
     let mut shed = 0usize;
@@ -152,6 +152,13 @@ fn pace_lane(server: &LiveServer, lane: usize, rate: f64, dur: Duration) -> Side
     SideStats { lats, shed }
 }
 
+fn to_lane(lane: usize, jpeg: Vec<u8>) -> Request<'static> {
+    Request {
+        target: Target::Lane(lane),
+        ..Request::new(jpeg)
+    }
+}
+
 /// Warms every lane of a fresh server (cold caches and first-forward
 /// costs land on the warmup, not a measured tail).
 fn warm(server: &LiveServer, lanes: &[usize]) {
@@ -159,7 +166,7 @@ fn warm(server: &LiveServer, lanes: &[usize]) {
     for _ in 0..4 {
         let rxs: Vec<_> = lanes
             .iter()
-            .map(|&l| server.submit_lane(l, jpeg.clone()))
+            .map(|&l| server.submit_request(to_lane(l, jpeg.clone())))
             .collect();
         for rx in rxs {
             let _ = rx.recv();

@@ -87,10 +87,7 @@ fn throughput_run(trace: Tracer, payloads: &[Vec<u8>]) -> f64 {
         server.infer(p.clone()).expect("warm-up");
     }
     let t0 = Instant::now();
-    let pending: Vec<_> = payloads
-        .iter()
-        .map(|p| server.submit_with_deadline(p.clone(), None))
-        .collect();
+    let pending: Vec<_> = payloads.iter().map(|p| server.submit(p.clone())).collect();
     for rx in pending {
         rx.recv().expect("reply").expect("infer");
     }

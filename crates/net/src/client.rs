@@ -246,15 +246,30 @@ impl NetClient {
     }
 
     /// [`submit`](Self::submit) with an explicit per-request deadline.
+    ///
+    /// # Errors
+    ///
+    /// A payload longer than [`wire::MAX_PAYLOAD_LEN`] is refused with
+    /// [`NetError::Io`] (`InvalidInput`) before anything is sent — the
+    /// frame encoder would otherwise clip it and the server would decode
+    /// a corrupted image.
     pub fn submit_with_deadline(
         &self,
         jpeg: &[u8],
         deadline: Option<Duration>,
     ) -> Result<PendingReply, NetError> {
+        if jpeg.len() > wire::MAX_PAYLOAD_LEN {
+            return Err(NetError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "payload of {} bytes exceeds the wire limit of {} bytes",
+                    jpeg.len(),
+                    wire::MAX_PAYLOAD_LEN
+                ),
+            )));
+        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let deadline_us = deadline
-            .map(|d| d.as_micros().min(u32::MAX as u128) as u32)
-            .unwrap_or(0);
+        let deadline_us = deadline_us(deadline);
         let t0 = Instant::now();
         let mut frame = Vec::with_capacity(jpeg.len() + 64);
         wire::encode_request(
@@ -329,6 +344,13 @@ impl NetClient {
             .filter(|s| !s.lock().unwrap_or_else(|e| e.into_inner()).dead())
             .count()
     }
+}
+
+/// The frame's deadline field in µs. The wire reads 0 as "no deadline",
+/// so a deadline that is present clamps into `1..=u32::MAX` — the
+/// strictest one (`Duration::ZERO`) must not turn into none.
+fn deadline_us(deadline: Option<Duration>) -> u32 {
+    deadline.map_or(0, |d| d.as_micros().clamp(1, u32::MAX as u128) as u32)
 }
 
 /// One-shot metrics scrape: connect, send a `VRM1` frame, read the reply.
@@ -494,6 +516,32 @@ mod tests {
 
     fn spec(side: usize, seed: u64) -> Vec<u8> {
         synthetic_jpeg(&vserve_device::ImageSpec::new(side, side, 0), seed)
+    }
+
+    #[test]
+    fn deadline_field_keeps_a_present_deadline_nonzero() {
+        assert_eq!(deadline_us(None), 0);
+        assert_eq!(deadline_us(Some(Duration::ZERO)), 1);
+        assert_eq!(deadline_us(Some(Duration::from_micros(1))), 1);
+        assert_eq!(deadline_us(Some(Duration::from_secs(2 * 3600))), u32::MAX);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_the_wire() {
+        let server = bind_tiny();
+        let client = NetClient::connect(server.local_addr(), ClientOptions::default()).unwrap();
+        let too_long = vec![0u8; wire::MAX_PAYLOAD_LEN + 1];
+        match client.submit(&too_long) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            Err(other) => panic!("expected InvalidInput, got {other}"),
+            Ok(_) => panic!("a clipped payload must not be sent"),
+        }
+        // Nothing was registered or written: the pool is intact and the
+        // server never saw a frame.
+        assert_eq!(client.live_conns(), ClientOptions::default().pool);
+        assert_eq!(server.metrics().frames, 0);
+        assert_eq!(client.infer(&spec(48, 1)).unwrap().output.len(), 10);
+        assert_eq!(server.metrics().frames, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-connection state machines for the evented front-end.
+//! Per-connection state machines for the front-end's event loop.
 //!
 //! Each accepted socket becomes a [`Conn`] driven entirely by readiness
 //! callbacks from the event loop in `server.rs` — no thread ever blocks
@@ -40,7 +40,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vserve_server::live::{LiveError, LiveResult, LiveServer, ReplyReceiver};
+use vserve_server::live::{LiveError, LiveResult, LiveServer, ReplyReceiver, Request};
 use vserve_server::stages;
 use vserve_trace::TraceHandle;
 
@@ -204,8 +204,7 @@ impl Conn {
                 Ok(Some((body, transfer))) => {
                     // `process_frame` needs `&mut self` while `body`
                     // borrows `self.asm`, so the body is copied out — one
-                    // copy per request, mirroring the threaded reader's
-                    // per-frame buffer.
+                    // copy per request.
                     let body = body.to_vec();
                     self.process_frame(&body, transfer, ctx);
                 }
@@ -308,16 +307,13 @@ impl Conn {
                 .push((token, seq));
             wake.wake();
         });
-        let rx = match target {
-            crate::server::Route::Lane(lane) => {
-                ctx.live
-                    .submit_lane_hooked(lane, jpeg, deadline, Some(trace_id), hook)
-            }
-            crate::server::Route::Pipeline(name) => {
-                ctx.live
-                    .submit_pipeline_hooked(&name, jpeg, deadline, Some(trace_id), hook)
-            }
-        };
+        let rx = ctx.live.submit_request(Request {
+            target,
+            jpeg,
+            deadline,
+            trace_id: Some(trace_id),
+            hook: Some(hook),
+        });
         self.slots.push_back(Slot::Waiting {
             seq,
             id,
@@ -406,8 +402,8 @@ impl Conn {
 }
 
 /// Encodes a resolved live-server reply, recording the network-stage
-/// breakdown rows for completed requests (matching the threaded writer:
-/// one observation per *completed* request).
+/// breakdown rows for completed requests (one observation per
+/// *completed* request).
 fn encode_result(
     out: &mut Vec<u8>,
     shared: &NetShared,

@@ -12,12 +12,12 @@
 //!   [`Status`] such as `Overloaded`). The decoder is zero-copy and total:
 //!   untrusted bytes can make it return [`wire::WireError`], never panic
 //!   or over-allocate.
-//! * [`server`] — a `std::net` listener with a thread-per-connection
-//!   acceptor behind a bounded connection cap (backpressure at accept),
-//!   which stamps `transfer`/`deserialize` stage times into the shared
-//!   `StageBreakdown` and submits into an embedded
-//!   [`LiveServer`](vserve_server::live::LiveServer); shutdown drains
-//!   in-flight work before closing.
+//! * [`server`] — a `std::net` listener driven by one readiness event
+//!   loop ([`poller`], [`conn`]) behind a bounded connection cap
+//!   (backpressure at accept), which stamps `transfer`/`deserialize`
+//!   stage times into the shared `StageBreakdown` and submits into an
+//!   embedded [`LiveServer`](vserve_server::live::LiveServer); shutdown
+//!   drains in-flight work before closing.
 //! * [`client`] — a blocking client with connection pooling and in-flight
 //!   pipelining over each socket; per-request deadlines are propagated
 //!   into the frame so the server sheds late work.
@@ -61,17 +61,18 @@
 //! (See `examples/net_roundtrip.rs` for the full server + pooled-client
 //! round trip with the per-stage table.)
 
+// There is no other serving engine to fall back to.
+#[cfg(not(unix))]
+compile_error!("vserve-net needs a Unix target: its event loop polls raw fds (epoll or poll(2))");
+
 pub mod client;
-#[cfg(unix)]
 pub mod conn;
-#[cfg(unix)]
 pub mod poller;
 pub mod router;
 pub mod server;
 pub mod wire;
 
 pub use client::{scrape, ClientOptions, NetClient, NetError, NetResult};
-#[cfg(unix)]
 pub use poller::fd_soft_limit;
 pub use router::{Router, RouterClient, RouterOptions, ShardPolicy};
 pub use server::{NetMetrics, NetOptions, NetServer};
@@ -91,12 +92,6 @@ pub const NET_MAX_CONNS_ENV: &str = "VSERVE_NET_MAX_CONNS";
 /// Environment variable read by [`ClientOptions::default`] for the
 /// client's connection-pool size.
 pub const NET_POOL_ENV: &str = "VSERVE_NET_POOL";
-
-/// Environment variable read by [`NetOptions::default`] selecting the
-/// server implementation: `1`/`true` for the evented readiness loop
-/// (default on Unix), `0`/`false` for the thread-per-connection
-/// baseline.
-pub const NET_EVENTED_ENV: &str = "VSERVE_NET_EVENTED";
 
 /// Environment variable read by [`NetOptions::default`] for the
 /// per-connection in-flight request cap (flow control).
@@ -127,15 +122,4 @@ pub(crate) fn env_usize(var: &str, default: usize) -> usize {
         .and_then(|v| v.trim().parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(default)
-}
-
-pub(crate) fn env_bool(var: &str, default: bool) -> bool {
-    match std::env::var(var) {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "yes" | "on" => true,
-            "0" | "false" | "no" | "off" => false,
-            _ => default,
-        },
-        Err(_) => default,
-    }
 }

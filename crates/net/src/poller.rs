@@ -1,4 +1,4 @@
-//! A small dependency-free readiness poller for the evented front-end.
+//! A small dependency-free readiness poller for the front-end's event loop.
 //!
 //! Two backends behind one API:
 //!
@@ -483,32 +483,25 @@ impl WakeHandle {
 /// The connection-scaling bench and the high-connection smoke test size
 /// themselves off this so they skip gracefully in fd-capped sandboxes.
 pub fn fd_soft_limit() -> Option<u64> {
-    #[cfg(unix)]
-    {
-        #[repr(C)]
-        struct RLimit {
-            cur: u64,
-            max: u64,
-        }
-        extern "C" {
-            fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        }
-        // RLIMIT_NOFILE is 7 on Linux, 8 on the BSDs/macOS.
-        #[cfg(target_os = "linux")]
-        const RLIMIT_NOFILE: i32 = 7;
-        #[cfg(not(target_os = "linux"))]
-        const RLIMIT_NOFILE: i32 = 8;
-        let mut r = RLimit { cur: 0, max: 0 };
-        // SAFETY: `r` is a live out-param of the correct layout.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut r) } == 0 {
-            return Some(r.cur);
-        }
-        None
+    #[repr(C)]
+    struct RLimit {
+        cur: u64,
+        max: u64,
     }
-    #[cfg(not(unix))]
-    {
-        None
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
     }
+    // RLIMIT_NOFILE is 7 on Linux, 8 on the BSDs/macOS.
+    #[cfg(target_os = "linux")]
+    const RLIMIT_NOFILE: i32 = 7;
+    #[cfg(not(target_os = "linux"))]
+    const RLIMIT_NOFILE: i32 = 8;
+    let mut r = RLimit { cur: 0, max: 0 };
+    // SAFETY: `r` is a live out-param of the correct layout.
+    if unsafe { getrlimit(RLIMIT_NOFILE, &mut r) } == 0 {
+        return Some(r.cur);
+    }
+    None
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@
 //!   on the same shard and its preproc cache — the cache-affinity
 //!   deployment.
 //!
-//! Every shard runs the full [`NetServer`] stack (evented or threaded
-//! per [`NetOptions::evented`]) around a clone of the same [`Model`], so
-//! outputs are bit-identical regardless of which shard serves a request
-//! — the loopback E2E suite pins this through the router tier.
+//! Every shard runs the full [`NetServer`] stack around a clone of the
+//! same [`Model`], so outputs are bit-identical regardless of which
+//! shard serves a request — the loopback E2E suite pins this through the
+//! router tier.
 //!
 //! The simulator's counterpart is `ServerConfig::shards` in
 //! `vserve-server`, which scales the sim's dispatch/preproc capacity and
@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vserve_dnn::Model;
+use vserve_server::cache::fnv1a;
 
 use crate::client::{ClientOptions, NetClient, NetError, NetResult, PendingReply};
 use crate::server::{NetMetrics, NetOptions, NetServer};
@@ -195,15 +196,6 @@ impl Drop for InflightGuard {
     fn drop(&mut self) {
         self.counter.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl RouterClient {

@@ -3,35 +3,34 @@
 //!
 //! # Structure
 //!
-//! One acceptor thread owns the listener. It reserves a connection slot
-//! *before* calling `accept` — when [`NetOptions::max_conns`] connections
-//! are live it blocks on a condvar, so overload pushes back at the TCP
-//! accept queue instead of spawning unbounded threads (the same
-//! backpressure philosophy as the live server's bounded ingress).
+//! One event-loop thread owns the listener and every connection,
+//! multiplexed through a readiness poller ([`crate::poller`]). The
+//! listener is registered only while fewer than [`NetOptions::max_conns`]
+//! connections are open, so overload pushes back at the TCP accept queue
+//! instead of growing server state (the same backpressure philosophy as
+//! the live server's bounded ingress).
 //!
-//! Each connection gets a reader thread and a writer thread joined by a
-//! bounded channel of pending responses:
+//! Each connection is a [`crate::conn`] state machine: frames are
+//! assembled from whatever bytes the kernel has (measuring the
+//! data-transfer time per frame), decoded (measuring deserialization) and
+//! submitted into the [`LiveServer`] with the frame's propagated deadline
+//! and a completion hook; replies are resolved *in request order* — which
+//! is what makes pipelining safe for clients that match responses by
+//! position as well as by id — encoded, and written back as the socket
+//! accepts them.
 //!
-//! * the **reader** pulls frames off the socket (measuring the
-//!   data-transfer time per frame), decodes them (measuring
-//!   deserialization), submits the payload into the [`LiveServer`] with
-//!   the frame's propagated deadline, and enqueues the reply handle;
-//! * the **writer** resolves pending replies *in request order* — which
-//!   is what makes pipelining safe for clients that match responses by
-//!   position as well as by id — encodes them, and writes them back.
-//!
-//! The bounded pending channel caps per-connection pipelining
-//! ([`NetOptions::max_inflight_per_conn`]): a client that fires requests
-//! without reading responses eventually blocks in its socket, not in
-//! server memory.
+//! Per-connection pipelining is capped
+//! ([`NetOptions::max_inflight_per_conn`], [`NetOptions::write_hwm_bytes`]):
+//! a client that fires requests without reading responses eventually
+//! blocks in its socket, not in server memory.
 //!
 //! # Shutdown
 //!
-//! Dropping the [`NetServer`] is graceful: the acceptor is woken and
-//! exits, every connection's read half is shut down (readers see EOF and
-//! stop taking new frames), writers drain every in-flight response, and
-//! only then is the embedded live server dropped. In-flight requests are
-//! answered, not abandoned.
+//! Dropping the [`NetServer`] is graceful: the loop stops accepting and
+//! stops reading, every in-flight response is resolved and flushed
+//! (bounded by [`NetOptions::drain_timeout`]), and only then is the
+//! embedded live server dropped. In-flight requests are answered, not
+//! abandoned.
 //!
 //! # Failure mapping
 //!
@@ -43,30 +42,26 @@
 //! protecting itself" from "connection died", which the loopback E2E test
 //! pins.
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver as MpscReceiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::net::{Shutdown, SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vserve_dnn::Model;
 use vserve_metrics::StageBreakdown;
 use vserve_pipeline::{PipelineRunner, PipelineSpec};
-use vserve_server::live::{LiveError, LiveMetrics, LiveOptions, LiveResult, LiveServer, ZooModel};
-use vserve_server::{stages, ServingSummary};
+use vserve_server::live::{LiveMetrics, LiveOptions, LiveServer, Target, ZooModel};
+use vserve_server::ServingSummary;
 use vserve_trace::expose::Exposition;
 use vserve_trace::Tracer;
 use vserve_tune::{TuneOptions, Tuner};
 
-use crate::wire::{
-    self, encode_response, RequestFrame, ResponseFrame, StageMicros, Status, WireError,
-};
+use crate::poller::{Poller, WakeHandle, Waker};
+use crate::wire::{RequestFrame, Status};
 use crate::{
-    env_bool, env_usize, DEFAULT_ADDR, DEFAULT_INFLIGHT_PER_CONN, DEFAULT_MAX_CONNS, NET_ADDR_ENV,
-    NET_EVENTED_ENV, NET_INFLIGHT_ENV, NET_MAX_CONNS_ENV,
+    env_usize, DEFAULT_ADDR, DEFAULT_INFLIGHT_PER_CONN, DEFAULT_MAX_CONNS, NET_ADDR_ENV,
+    NET_INFLIGHT_ENV, NET_MAX_CONNS_ENV,
 };
 
 /// Configuration for a [`NetServer`].
@@ -83,17 +78,16 @@ pub struct NetOptions {
     /// pulling new frames off that socket (per-connection flow control).
     /// Defaults to [`NET_INFLIGHT_ENV`] or 128.
     pub max_inflight_per_conn: usize,
-    /// Serve with the readiness-driven event loop (one thread multiplexing
-    /// every connection via epoll/poll) instead of thread-per-connection.
-    /// Defaults to [`NET_EVENTED_ENV`], or `true` on Unix. Forced off on
-    /// non-Unix targets, where no poller backend exists.
+    /// Ignored — the server is always evented; kept only because
+    /// `benchmark/src/spec.rs` names it; delete in the next
+    /// benchmark-archetype PR.
     pub evented: bool,
-    /// Evented mode: a connection whose unflushed reply bytes exceed this
-    /// stops being read until the client drains its socket — a stalled
-    /// reader stalls its own sender instead of growing server memory.
+    /// A connection whose unflushed reply bytes exceed this stops being
+    /// read until the client drains its socket — a stalled reader stalls
+    /// its own sender instead of growing server memory.
     pub write_hwm_bytes: usize,
-    /// Evented mode: how long graceful shutdown waits for in-flight
-    /// replies to flush before force-closing connections.
+    /// How long graceful shutdown waits for in-flight replies to flush
+    /// before force-closing connections.
     pub drain_timeout: Duration,
     /// Name the deployed model answers to; frames naming anything else
     /// get [`Status::UnknownModel`]. An empty model name in a frame
@@ -121,7 +115,7 @@ impl Default for NetOptions {
             addr: std::env::var(NET_ADDR_ENV).unwrap_or_else(|_| DEFAULT_ADDR.to_owned()),
             max_conns: env_usize(NET_MAX_CONNS_ENV, DEFAULT_MAX_CONNS),
             max_inflight_per_conn: env_usize(NET_INFLIGHT_ENV, DEFAULT_INFLIGHT_PER_CONN),
-            evented: env_bool(NET_EVENTED_ENV, cfg!(unix)),
+            evented: true,
             write_hwm_bytes: 1 << 20,
             drain_timeout: Duration::from_secs(5),
             model_name: "default".to_owned(),
@@ -145,11 +139,10 @@ pub struct NetMetrics {
     /// Frames rejected as malformed (each closes its connection).
     pub bad_frames: u64,
     /// Connections currently draining: no longer read, finishing
-    /// in-flight replies before close (evented mode).
+    /// in-flight replies before close.
     pub draining: usize,
     /// Largest unflushed reply buffer any connection has held, in bytes
-    /// (evented mode) — the observable face of the write-side flow
-    /// control.
+    /// — the observable face of the write-side flow control.
     pub write_buffer_hwm_bytes: u64,
     /// Network-layer stage times: one
     /// [`stages::NET_TRANSFER`]/[`stages::DESERIALIZE`] observation per
@@ -183,46 +176,21 @@ pub(crate) struct NetMetricsInner {
     pub(crate) breakdown: StageBreakdown,
 }
 
-/// A pending item the writer resolves in order.
-enum Pending {
-    /// A submitted request: block on the live server's reply, then encode.
-    Wait {
-        id: u64,
-        transfer: Duration,
-        deserialize: Duration,
-        wait: Box<dyn FnOnce() -> Result<LiveResult, LiveError> + Send>,
-    },
-    /// An immediate typed status (bad frame, unknown model, shutdown).
-    Reply {
-        id: u64,
-        status: Status,
-        msg: String,
-    },
-}
-
 pub(crate) struct NetShared {
     shutdown: AtomicBool,
-    /// Live connection count, guarded with [`Self::cv`] for the
-    /// accept-side backpressure wait (threaded mode; the evented loop
-    /// updates it for the `active` metric).
-    slots: Mutex<usize>,
-    cv: Condvar,
+    /// Open connection count, published by the event loop for the
+    /// `active` metric.
+    active: AtomicUsize,
     max_conns: usize,
     pub(crate) model_name: String,
     next_conn: AtomicU64,
-    /// Read-half handles of live connections, for shutdown wakeup
-    /// (threaded mode only; the evented loop owns its streams).
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Join handles of connection threads (the acceptor pushes, drop
-    /// drains).
-    handles: Mutex<Vec<JoinHandle<()>>>,
     metrics: Mutex<NetMetricsInner>,
-    /// Bumped by [`NetServer::drain_connections`]; the evented loop
+    /// Bumped by [`NetServer::drain_connections`]; the event loop
     /// compares against its last-seen value.
     drain_req: AtomicU64,
-    /// Connections currently draining (evented mode gauge).
+    /// Connections currently draining (gauge).
     draining: AtomicU64,
-    /// Lifetime write-buffer high-water mark in bytes (evented gauge).
+    /// Lifetime write-buffer high-water mark in bytes (gauge).
     write_hwm: AtomicU64,
     /// Knob reconfigurations applied by the tuner; shared with the
     /// controller thread, stays 0 when tuning is off. Scrapes read it
@@ -235,33 +203,13 @@ impl NetShared {
         self.metrics.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn release_slot(&self) {
-        let mut n = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        *n = n.saturating_sub(1);
-        self.cv.notify_all();
-    }
-
     fn set_active(&self, n: usize) {
-        *self.slots.lock().unwrap_or_else(|e| e.into_inner()) = n;
+        self.active.store(n, Ordering::Relaxed);
     }
 
     fn note_write_hwm(&self, bytes: u64) {
         self.write_hwm.fetch_max(bytes, Ordering::Relaxed);
     }
-}
-
-/// Which serving engine is running behind [`NetServer`].
-enum Engine {
-    /// One acceptor thread + two threads per connection (the PR-4
-    /// baseline, kept as the comparison point and the non-Unix fallback).
-    Threaded { acceptor: Option<JoinHandle<()>> },
-    /// One event-loop thread multiplexing every connection through a
-    /// readiness poller.
-    #[cfg(unix)]
-    Evented {
-        driver: Option<JoinHandle<()>>,
-        wake: crate::poller::WakeHandle,
-    },
 }
 
 /// A running TCP front-end; dropping it drains in-flight requests,
@@ -270,7 +218,9 @@ pub struct NetServer {
     local_addr: SocketAddr,
     live: Arc<LiveServer>,
     shared: Arc<NetShared>,
-    engine: Engine,
+    /// The event-loop thread and the handle that wakes it out of `wait`.
+    driver: Option<JoinHandle<()>>,
+    wake: WakeHandle,
     /// The self-tuning controller, when enabled; stopped first on drop so
     /// knobs hold still while connections drain.
     tuner: Option<Tuner>,
@@ -286,7 +236,7 @@ impl std::fmt::Debug for NetServer {
 
 impl NetServer {
     /// Binds the listener, starts the embedded [`LiveServer`] around
-    /// `model`, and spawns the acceptor.
+    /// `model`, and spawns the event loop.
     ///
     /// # Errors
     ///
@@ -332,13 +282,10 @@ impl NetServer {
             .unwrap_or_else(|| Arc::new(AtomicU64::new(0)));
         let shared = Arc::new(NetShared {
             shutdown: AtomicBool::new(false),
-            slots: Mutex::new(0),
-            cv: Condvar::new(),
+            active: AtomicUsize::new(0),
             max_conns: opts.max_conns.max(1),
             model_name: opts.model_name.clone(),
             next_conn: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
-            handles: Mutex::new(Vec::new()),
             metrics: Mutex::new(NetMetricsInner {
                 accepted: 0,
                 frames: 0,
@@ -351,52 +298,33 @@ impl NetServer {
             tune_decisions,
         });
         let max_inflight = opts.max_inflight_per_conn.max(1);
-        #[cfg(unix)]
-        if opts.evented {
-            let waker = crate::poller::Waker::new()?;
-            let wake = waker.handle()?;
-            let poller = crate::poller::Poller::new()?;
-            let driver = {
-                let shared = Arc::clone(&shared);
-                let live = Arc::clone(&live);
-                let write_hwm = opts.write_hwm_bytes.max(1);
-                let drain_timeout = opts.drain_timeout;
-                std::thread::spawn(move || {
-                    event_loop(
-                        listener,
-                        poller,
-                        waker,
-                        shared,
-                        live,
-                        max_inflight,
-                        write_hwm,
-                        drain_timeout,
-                    )
-                })
-            };
-            return Ok(NetServer {
-                local_addr,
-                live,
-                shared,
-                engine: Engine::Evented {
-                    driver: Some(driver),
-                    wake,
-                },
-                tuner,
-            });
-        }
-        let acceptor = {
+        let waker = Waker::new()?;
+        let wake = waker.handle()?;
+        let poller = Poller::new()?;
+        let driver = {
             let shared = Arc::clone(&shared);
             let live = Arc::clone(&live);
-            std::thread::spawn(move || accept_loop(listener, shared, live, max_inflight))
+            let write_hwm = opts.write_hwm_bytes.max(1);
+            let drain_timeout = opts.drain_timeout;
+            std::thread::spawn(move || {
+                event_loop(
+                    listener,
+                    poller,
+                    waker,
+                    shared,
+                    live,
+                    max_inflight,
+                    write_hwm,
+                    drain_timeout,
+                )
+            })
         };
         Ok(NetServer {
             local_addr,
             live,
             shared,
-            engine: Engine::Threaded {
-                acceptor: Some(acceptor),
-            },
+            driver: Some(driver),
+            wake,
             tuner,
         })
     }
@@ -409,10 +337,9 @@ impl NetServer {
     /// Snapshots network-layer counters plus the live server's metrics.
     pub fn metrics(&self) -> NetMetrics {
         let m = self.shared.lock_metrics();
-        let active = *self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
         NetMetrics {
             accepted: m.accepted,
-            active,
+            active: self.shared.active.load(Ordering::Relaxed),
             frames: m.frames,
             bad_frames: m.bad_frames,
             draining: self.shared.draining.load(Ordering::Relaxed) as usize,
@@ -431,19 +358,7 @@ impl NetServer {
     /// [`NetClient`]: crate::client::NetClient
     pub fn drain_connections(&self) {
         self.shared.drain_req.fetch_add(1, Ordering::SeqCst);
-        match &self.engine {
-            Engine::Threaded { .. } => {
-                // EOF every reader: in-flight replies drain through the
-                // writers, then the connection threads exit.
-                if let Ok(conns) = self.shared.conns.lock() {
-                    for stream in conns.values() {
-                        let _ = stream.shutdown(Shutdown::Read);
-                    }
-                }
-            }
-            #[cfg(unix)]
-            Engine::Evented { wake, .. } => wake.wake(),
-        }
+        self.wake.wake();
     }
 
     /// Renders the plain-text metrics exposition — the same document a
@@ -467,7 +382,7 @@ pub(crate) fn render_exposition(shared: &NetShared, live: &LiveServer) -> String
         let m = shared.lock_metrics();
         (m.accepted, m.frames, m.bad_frames, m.breakdown.clone())
     };
-    let active = *shared.slots.lock().unwrap_or_else(|e| e.into_inner());
+    let active = shared.active.load(Ordering::Relaxed);
     let lm = live.metrics();
     let mut breakdown = lm.breakdown.clone();
     breakdown.merge(&net_breakdown);
@@ -490,7 +405,7 @@ pub(crate) fn render_exposition(shared: &NetShared, live: &LiveServer) -> String
     e.header(
         "vserve_conns_open",
         "gauge",
-        "Connections currently open (registered with the event loop or served by threads).",
+        "Connections currently open (registered with the event loop).",
     )
     .gauge("vserve_conns_open", active as f64);
     e.header(
@@ -777,65 +692,30 @@ impl Drop for NetServer {
         // move mid-drain would race the live server's own shutdown.
         drop(self.tuner.take());
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.engine {
-            Engine::Threaded { acceptor } => {
-                self.shared.cv.notify_all();
-                // Wake the acceptor out of its blocking accept.
-                let _ = TcpStream::connect(self.local_addr);
-                if let Some(h) = acceptor.take() {
-                    let _ = h.join();
-                }
-                // EOF every reader; writers then drain their pending
-                // responses.
-                if let Ok(conns) = self.shared.conns.lock() {
-                    for stream in conns.values() {
-                        let _ = stream.shutdown(Shutdown::Read);
-                    }
-                }
-                let handles: Vec<_> = self
-                    .shared
-                    .handles
-                    .lock()
-                    .map(|mut h| h.drain(..).collect())
-                    .unwrap_or_default();
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
-            #[cfg(unix)]
-            Engine::Evented { driver, wake } => {
-                // The loop sees the shutdown flag, stops accepting, drains
-                // every connection (bounded by `drain_timeout`), and
-                // exits.
-                wake.wake();
-                if let Some(h) = driver.take() {
-                    let _ = h.join();
-                }
-            }
+        // The loop sees the shutdown flag, stops accepting, drains every
+        // connection (bounded by `drain_timeout`), and exits.
+        self.wake.wake();
+        if let Some(h) = self.driver.take() {
+            let _ = h.join();
         }
         // The live server (still running until here so in-flight work can
         // finish) shuts down when its last Arc drops with `self.live`.
     }
 }
 
-/// Slab tokens for the evented loop: 0 and 1 are reserved, connections
+/// Slab tokens for the event loop: 0 and 1 are reserved, connections
 /// start at [`TOKEN_BASE`]. The low 32 bits are `slab index + TOKEN_BASE`;
 /// the high 32 bits carry a generation so a completion hook firing after
 /// its connection closed (and the slab slot was reused) cannot be
 /// misdelivered.
-#[cfg(unix)]
 const TOKEN_LISTENER: u64 = 0;
-#[cfg(unix)]
 const TOKEN_WAKER: u64 = 1;
-#[cfg(unix)]
 const TOKEN_BASE: u64 = 2;
 
-#[cfg(unix)]
 fn conn_token(generation: u32, idx: usize) -> u64 {
     ((generation as u64) << 32) | (idx as u64 + TOKEN_BASE)
 }
 
-#[cfg(unix)]
 fn token_index(token: u64) -> Option<usize> {
     ((token & 0xFFFF_FFFF) as usize).checked_sub(TOKEN_BASE as usize)
 }
@@ -851,12 +731,11 @@ fn token_index(token: u64) -> Option<usize> {
 ///   ignored unless the generation matches (stale hooks are harmless);
 /// * on shutdown, every connection drains (in-flight replies flush)
 ///   before close, bounded by `drain_timeout`.
-#[cfg(unix)]
 #[allow(clippy::too_many_arguments)]
 fn event_loop(
     listener: TcpListener,
-    mut poller: crate::poller::Poller,
-    waker: crate::poller::Waker,
+    mut poller: Poller,
+    waker: Waker,
     shared: Arc<NetShared>,
     live: Arc<LiveServer>,
     max_inflight: usize,
@@ -994,7 +873,7 @@ fn event_loop(
                         }
                     }
                     // At the cap: unregister so the backlog holds excess
-                    // connects (backpressure-before-accept, evented form).
+                    // connects (backpressure before accept).
                     if accepting && open >= shared.max_conns {
                         let _ = poller.remove(lfd);
                         accepting = false;
@@ -1093,9 +972,8 @@ fn event_loop(
 
 /// Unregisters and drops one connection, updating the open count, the
 /// active gauge, and the slab free list.
-#[cfg(unix)]
 fn close_conn(
-    poller: &mut crate::poller::Poller,
+    poller: &mut Poller,
     conns: &mut [Option<crate::conn::Conn>],
     free: &mut Vec<usize>,
     open: &mut usize,
@@ -1112,222 +990,10 @@ fn close_conn(
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<NetShared>,
-    live: Arc<LiveServer>,
-    max_inflight: usize,
-) {
-    loop {
-        // Backpressure at accept: reserve a connection slot first, so at
-        // the cap we stop accepting and excess connects wait in the
-        // kernel backlog.
-        {
-            let mut n = shared.slots.lock().unwrap_or_else(|e| e.into_inner());
-            while *n >= shared.max_conns && !shared.shutdown.load(Ordering::SeqCst) {
-                n = shared.cv.wait(n).unwrap_or_else(|e| e.into_inner());
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            *n += 1;
-        }
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                shared.release_slot();
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shared.release_slot();
-            return;
-        }
-        shared.lock_metrics().accepted += 1;
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        if let Ok(read_half) = stream.try_clone() {
-            if let Ok(mut conns) = shared.conns.lock() {
-                conns.insert(conn_id, read_half);
-            }
-        }
-        let shared2 = Arc::clone(&shared);
-        let live2 = Arc::clone(&live);
-        let handle =
-            std::thread::spawn(move || serve_conn(stream, conn_id, shared2, live2, max_inflight));
-        if let Ok(mut hs) = shared.handles.lock() {
-            hs.push(handle);
-        }
-    }
-}
-
-/// Runs one connection: the reader loop inline, the writer in a spawned
-/// thread, joined by a bounded in-order pending queue.
-fn serve_conn(
-    mut stream: TcpStream,
-    conn_id: u64,
-    shared: Arc<NetShared>,
-    live: Arc<LiveServer>,
-    max_inflight: usize,
-) {
-    let (ptx, prx) = sync_channel::<Pending>(max_inflight);
-    let writer = match stream.try_clone() {
-        Ok(w) => {
-            let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || write_loop(w, prx, shared)))
-        }
-        Err(_) => None,
-    };
-    if writer.is_some() {
-        read_loop(&mut stream, conn_id, &ptx, &shared, &live);
-    }
-    drop(ptx); // writer drains remaining pendings, then exits
-    if let Some(w) = writer {
-        let _ = w.join();
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    if let Ok(mut conns) = shared.conns.lock() {
-        conns.remove(&conn_id);
-    }
-    shared.release_slot();
-}
-
 /// Mask selecting the wire-id bits of a composed trace id; the upper 16
 /// bits carry `conn_id + 1` so ids from different connections (and the
 /// live server's own 1-based counter) cannot collide.
 pub(crate) const TRACE_WIRE_ID_MASK: u64 = 0x0000_FFFF_FFFF_FFFF;
-
-fn read_loop(
-    stream: &mut TcpStream,
-    conn_id: u64,
-    ptx: &SyncSender<Pending>,
-    shared: &NetShared,
-    live: &LiveServer,
-) {
-    // Per-connection trace track: network spans (transfer, deserialize)
-    // land here and join the live pipeline's spans by composed id.
-    let tr = live.tracer().register(&format!("net-conn-{conn_id}"));
-    let mut body = Vec::new();
-    loop {
-        let transfer = match wire::read_frame_into(stream, &mut body) {
-            Ok(Some(t)) => t,
-            Ok(None) => return, // peer closed between frames
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Hostile length prefix: answer with a typed BadFrame and
-                // close — the byte stream cannot be re-framed.
-                shared.lock_metrics().bad_frames += 1;
-                let _ = ptx.send(Pending::Reply {
-                    id: 0,
-                    status: Status::BadFrame,
-                    msg: e.to_string(),
-                });
-                return;
-            }
-            Err(_) => return, // reset / shutdown / truncation
-        };
-        let t0 = Instant::now();
-        if wire::is_metrics_request(&body) {
-            // The framed protocol's `GET /metrics`: reply with an
-            // ordinary Ok response carrying the exposition in `msg`.
-            match wire::decode_metrics_request(&body) {
-                Ok(m) => {
-                    shared.lock_metrics().frames += 1;
-                    let _ = ptx.send(Pending::Reply {
-                        id: m.id,
-                        status: Status::Ok,
-                        msg: render_exposition(shared, live),
-                    });
-                    continue;
-                }
-                Err(WireError(reason)) => {
-                    shared.lock_metrics().bad_frames += 1;
-                    let _ = ptx.send(Pending::Reply {
-                        id: 0,
-                        status: Status::BadFrame,
-                        msg: reason.to_owned(),
-                    });
-                    return;
-                }
-            }
-        }
-        let req = match wire::decode_request(&body) {
-            Ok(r) => r,
-            Err(WireError(reason)) => {
-                shared.lock_metrics().bad_frames += 1;
-                let _ = ptx.send(Pending::Reply {
-                    id: 0,
-                    status: Status::BadFrame,
-                    msg: reason.to_owned(),
-                });
-                return;
-            }
-        };
-        let id = req.id;
-        let target = match route(&req, shared, live) {
-            Ok(target) => target,
-            Err((status, msg)) => {
-                let close = status == Status::BadFrame;
-                let _ = ptx.send(Pending::Reply { id, status, msg });
-                if close {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = ptx.send(Pending::Reply {
-                id,
-                status: Status::ShuttingDown,
-                msg: "server draining".to_owned(),
-            });
-            return;
-        }
-        let deadline = req.deadline();
-        let jpeg = req.jpeg.to_vec();
-        let deserialize = t0.elapsed();
-        shared.lock_metrics().frames += 1;
-        let trace_id = ((conn_id + 1) << 48) | (id & TRACE_WIRE_ID_MASK);
-        let nbytes = body.len() as u64;
-        tr.span(
-            trace_id,
-            stages::NET_TRANSFER,
-            t0.checked_sub(transfer).unwrap_or(t0),
-            t0,
-            0,
-            nbytes,
-        );
-        tr.span(trace_id, stages::DESERIALIZE, t0, Instant::now(), 0, nbytes);
-        let rx = match target {
-            Route::Lane(lane) => live.submit_lane_traced(lane, jpeg, deadline, Some(trace_id)),
-            Route::Pipeline(name) => {
-                live.submit_pipeline_traced(&name, jpeg, deadline, Some(trace_id))
-            }
-        };
-        let wait: Box<dyn FnOnce() -> Result<LiveResult, LiveError> + Send> =
-            Box::new(move || rx.recv().unwrap_or(Err(LiveError::Disconnected)));
-        if ptx
-            .send(Pending::Wait {
-                id,
-                transfer,
-                deserialize,
-                wait,
-            })
-            .is_err()
-        {
-            return; // writer died (socket error)
-        }
-    }
-}
-
-/// Where a parsed frame dispatches: a tenant lane of the live server, or
-/// a registered cascade pipeline (whose executor fans the frame out
-/// across lanes itself).
-pub(crate) enum Route {
-    Lane(usize),
-    Pipeline(String),
-}
 
 /// Checks a parsed frame against the deployment and resolves where it
 /// routes; `Err` is an immediate typed rejection (`BadFrame`
@@ -1341,16 +1007,16 @@ pub(crate) enum Route {
 /// any other name must match a zoo model (or tenant) the live server
 /// hosts. Pipeline requests are ordinary `VRQ2` frames — no new wire
 /// version — so any v2 client can drive a cascade by naming it.
-pub(crate) fn route(
-    req: &RequestFrame<'_>,
+pub(crate) fn route<'a>(
+    req: &RequestFrame<'a>,
     shared: &NetShared,
     live: &LiveServer,
-) -> Result<Route, (Status, String)> {
+) -> Result<Target<'a>, (Status, String)> {
     let route = if !req.tenant.is_empty() {
         if live.has_pipeline(req.tenant) {
-            Route::Pipeline(req.tenant.to_owned())
+            Target::Pipeline(req.tenant)
         } else {
-            Route::Lane(live.lane_of(req.tenant).ok_or_else(|| {
+            Target::Lane(live.lane_of(req.tenant).ok_or_else(|| {
                 (
                     Status::UnknownModel,
                     format!("no tenant named {:?} here", req.tenant),
@@ -1358,11 +1024,11 @@ pub(crate) fn route(
             })?)
         }
     } else if req.model.is_empty() || req.model == shared.model_name {
-        Route::Lane(0)
+        Target::Lane(0)
     } else if live.has_pipeline(req.model) {
-        Route::Pipeline(req.model.to_owned())
+        Target::Pipeline(req.model)
     } else {
-        Route::Lane(live.lane_of(req.model).ok_or_else(|| {
+        Target::Lane(live.lane_of(req.model).ok_or_else(|| {
             (
                 Status::UnknownModel,
                 format!("no model named {:?} here", req.model),
@@ -1375,93 +1041,15 @@ pub(crate) fn route(
     Ok(route)
 }
 
-fn write_loop(mut stream: TcpStream, prx: MpscReceiver<Pending>, shared: Arc<NetShared>) {
-    let mut out = Vec::new();
-    while let Ok(p) = prx.recv() {
-        out.clear();
-        match p {
-            Pending::Reply { id, status, msg } => {
-                encode_response(
-                    &mut out,
-                    &ResponseFrame {
-                        id,
-                        status,
-                        msg: &msg,
-                        batch: 0,
-                        stages: StageMicros::default(),
-                        output: &[],
-                    },
-                );
-            }
-            Pending::Wait {
-                id,
-                transfer,
-                deserialize,
-                wait,
-            } => match wait() {
-                Ok(r) => {
-                    {
-                        let mut m = shared.lock_metrics();
-                        m.breakdown
-                            .record(stages::NET_TRANSFER, transfer.as_secs_f64());
-                        m.breakdown
-                            .record(stages::DESERIALIZE, deserialize.as_secs_f64());
-                    }
-                    let output = wire::output_bytes(&r.output);
-                    encode_response(
-                        &mut out,
-                        &ResponseFrame {
-                            id,
-                            status: Status::Ok,
-                            msg: "",
-                            batch: r.batch_size as u32,
-                            stages: StageMicros {
-                                transfer_us: transfer.as_micros() as u64,
-                                deserialize_us: deserialize.as_micros() as u64,
-                                queue_us: r.queue.as_micros() as u64,
-                                preproc_us: r.preproc.as_micros() as u64,
-                                inference_us: r.inference.as_micros() as u64,
-                                total_us: (r.total + transfer + deserialize).as_micros() as u64,
-                            },
-                            output: &output,
-                        },
-                    );
-                }
-                Err(e) => {
-                    let status = match e {
-                        LiveError::Overloaded => Status::Overloaded,
-                        LiveError::DeadlineExceeded => Status::DeadlineExceeded,
-                        LiveError::QuotaExceeded => Status::QuotaExceeded,
-                        LiveError::SloInfeasible => Status::SloInfeasible,
-                        LiveError::Decode(_) => Status::DecodeFailed,
-                        LiveError::Model(_) => Status::ModelFailed,
-                        LiveError::Disconnected => Status::ShuttingDown,
-                    };
-                    encode_response(
-                        &mut out,
-                        &ResponseFrame {
-                            id,
-                            status,
-                            msg: &e.to_string(),
-                            batch: 0,
-                            stages: StageMicros::default(),
-                            output: &[],
-                        },
-                    );
-                }
-            },
-        }
-        if stream.write_all(&out).is_err() {
-            return; // client went away; remaining replies have no reader
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{ClientOptions, NetClient};
+    use crate::wire;
+    use std::io::Write;
+    use std::net::TcpStream;
     use vserve_dnn::models;
+    use vserve_server::stages;
     use vserve_workload::synthetic_jpeg;
 
     fn tiny_live() -> LiveOptions {

@@ -80,6 +80,13 @@ use std::time::{Duration, Instant};
 /// before any allocation, so untrusted peers cannot force large buffers.
 pub const MAX_FRAME_LEN: usize = 32 << 20;
 
+/// Largest JPEG payload a request frame (or output blob a response frame)
+/// carries: half of [`MAX_FRAME_LEN`], so headers always fit beside it.
+/// The encoders clip to it; [`NetClient`](crate::NetClient) refuses a
+/// longer payload before sending, because a clipped JPEG is a corrupted
+/// one.
+pub const MAX_PAYLOAD_LEN: usize = MAX_FRAME_LEN / 2;
+
 /// Magic opening a version-1 request body.
 pub const REQUEST_MAGIC: [u8; 4] = *b"VRQ1";
 
@@ -293,8 +300,9 @@ fn clip_name(mut name: &str) -> &str {
 /// Version gate: a frame with an empty tenant encodes as `VRQ1` —
 /// byte-identical to the v1 protocol — and only a non-empty tenant
 /// upgrades the frame to `VRQ2`. Model and tenant names are truncated to
-/// 255 bytes (on UTF-8 boundaries) and the payload to [`MAX_FRAME_LEN`]
-/// — in practice callers never hit either.
+/// 255 bytes (on UTF-8 boundaries) and the payload to
+/// [`MAX_PAYLOAD_LEN`]; callers that cannot tolerate a clipped payload
+/// check its length first, as [`NetClient`](crate::NetClient) does.
 pub fn encode_request(buf: &mut Vec<u8>, f: &RequestFrame<'_>) {
     let start = buf.len();
     put_u32(buf, 0); // length back-patched below
@@ -315,7 +323,7 @@ pub fn encode_request(buf: &mut Vec<u8>, f: &RequestFrame<'_>) {
         buf.push(tenant.len() as u8);
         buf.extend_from_slice(tenant.as_bytes());
     }
-    let jpeg = &f.jpeg[..f.jpeg.len().min(MAX_FRAME_LEN / 2)];
+    let jpeg = &f.jpeg[..f.jpeg.len().min(MAX_PAYLOAD_LEN)];
     put_u32(buf, jpeg.len() as u32);
     buf.extend_from_slice(jpeg);
     finish_frame(buf, start);
@@ -342,7 +350,7 @@ pub fn encode_response(buf: &mut Vec<u8>, f: &ResponseFrame<'_>) {
     ] {
         put_u64(buf, v);
     }
-    let out = &f.output[..f.output.len().min(MAX_FRAME_LEN / 2)];
+    let out = &f.output[..f.output.len().min(MAX_PAYLOAD_LEN)];
     put_u32(buf, (out.len() / 4) as u32);
     buf.extend_from_slice(&out[..(out.len() / 4) * 4]);
     finish_frame(buf, start);
@@ -604,8 +612,9 @@ pub fn read_frame_into<R: std::io::Read>(
 
 /// Resumable incremental frame assembly for nonblocking streams.
 ///
-/// The evented server reads whatever bytes the kernel has — possibly a
-/// partial header, possibly several frames fused — and feeds them here.
+/// The server's event loop reads whatever bytes the kernel has —
+/// possibly a partial header, possibly several frames fused — and feeds
+/// them here.
 /// The assembler buffers across reads, validates each length prefix via
 /// [`check_frame_len`] the moment its four bytes are available (a hostile
 /// prefix poisons the stream *before* any body byte is buffered), and

@@ -459,21 +459,75 @@ impl Shared {
     }
 }
 
-/// The receiver half of a request's reply channel, as returned by the
-/// `submit*` family. Named so downstream crates (the net front-end) can
-/// store it without depending on the channel crate directly.
+/// The receiver half of a request's reply channel, as returned by
+/// [`LiveServer::submit`] and [`LiveServer::submit_request`]. Named so
+/// downstream crates (the net front-end) can store it without depending
+/// on the channel crate directly.
 pub type ReplyReceiver = Receiver<Result<LiveResult, LiveError>>;
 
-/// A per-request reply channel plus an optional completion hook.
+/// Where a [`Request`] dispatches: a tenant lane of the live server, or a
+/// registered cascade pipeline (whose executor fans the frame out across
+/// lanes itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target<'a> {
+    /// A lane by index (0 is the default lane of a single-model server);
+    /// see [`LiveServer::lane_of`].
+    Lane(usize),
+    /// A pipeline by the name it was registered under
+    /// ([`LiveServer::register_pipeline`]).
+    Pipeline(&'a str),
+}
+
+/// One submission to [`LiveServer::submit_request`].
+pub struct Request<'a> {
+    /// Lane or pipeline the request is addressed to.
+    pub target: Target<'a>,
+    /// The encoded image.
+    pub jpeg: Vec<u8>,
+    /// Per-request deadline overriding [`LiveOptions::deadline`]; `None`
+    /// keeps the server-wide default. The network front-end propagates a
+    /// client-supplied deadline from the wire into the shedding machinery
+    /// through this.
+    pub deadline: Option<Duration>,
+    /// Caller-supplied trace id. The network front-end passes the id it
+    /// recorded its transfer/deserialize spans under, so a wire request's
+    /// spans join into one timeline across both layers. `None` assigns
+    /// the next in-process id (a counter from 1).
+    pub trace_id: Option<u64>,
+    /// Completion hook, fired **exactly once** after the reply value is
+    /// in the returned channel — including the shed paths and, on
+    /// shutdown, a dropped-unreplied request (`try_recv` then yields
+    /// `Err`, which callers should treat as [`LiveError::Disconnected`]).
+    /// This is the bridge for readiness-driven callers: the net
+    /// front-end's hook pushes a completion token and wakes its poller,
+    /// so no thread ever blocks on the receiver.
+    pub hook: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl Request<'_> {
+    /// A request for lane 0 with no deadline override, an auto-assigned
+    /// trace id and no hook; set the fields that differ.
+    pub fn new(jpeg: Vec<u8>) -> Self {
+        Request {
+            target: Target::Lane(0),
+            jpeg,
+            deadline: None,
+            trace_id: None,
+            hook: None,
+        }
+    }
+}
+
+/// A per-request reply channel plus an optional completion hook
+/// ([`Request::hook`]).
 ///
-/// Blocking callers just `recv()` the channel. The evented net front-end
-/// cannot park a thread per request, so [`LiveServer::submit_hooked`]
-/// attaches a hook that fires **exactly once** after the reply value is
-/// in the channel — the hook enqueues a completion token and wakes the
-/// event loop, which then `try_recv`s the already-filled channel without
-/// blocking. If a slot is dropped unreplied (worker shutdown, a send
-/// path skipped), `Drop` fires the hook anyway so the front-end sees the
-/// request die as `Disconnected` instead of leaking the connection slot.
+/// Blocking callers just `recv()` the channel. The net front-end cannot
+/// park a thread per request, so its hook enqueues a completion token and
+/// wakes the event loop, which then `try_recv`s the already-filled
+/// channel without blocking. If a slot is dropped unreplied (worker
+/// shutdown, a send path skipped), `Drop` fires the hook anyway so the
+/// front-end sees the request die as `Disconnected` instead of leaking
+/// the connection slot.
 struct ReplySlot {
     tx: Sender<Result<LiveResult, LiveError>>,
     hook: Option<Box<dyn FnOnce() + Send>>,
@@ -599,7 +653,7 @@ impl LaneRt {
 /// quota should not consume an SLO estimate), then EDF feasibility
 /// against the *tenant* SLO. Per-request deadlines are a separate
 /// mechanism (they shed as `DeadlineExceeded` downstream) and never
-/// trigger `SloInfeasible`. Shared by [`LiveServer::submit`]'s family and
+/// trigger `SloInfeasible`. Shared by [`LiveServer::submit_request`] and
 /// [`PipelineHandle::submit_reserved`] so cascade sub-requests face the
 /// same typed sheds as direct traffic.
 fn admit_lane(l: &LaneRt, shared: &Shared, now: Instant) -> Result<(), LiveError> {
@@ -1168,7 +1222,7 @@ pub struct LiveServer {
     /// Records ingress/shed events from submitter threads.
     ingress_trace: TraceHandle,
     /// Auto-assigned trace ids for in-process submissions (the net
-    /// front-end supplies its own via [`LiveServer::submit_traced`]).
+    /// front-end supplies its own via [`Request::trace_id`]).
     /// Shared with [`PipelineHandle`]s so cascade sub-requests draw from
     /// the same id space.
     next_req: Arc<AtomicU64>,
@@ -1388,61 +1442,47 @@ impl LiveServer {
         &self.tracer
     }
 
-    /// Submits a JPEG asynchronously; the returned channel yields the
-    /// result.
+    /// Submits a JPEG to lane 0 asynchronously; the returned channel
+    /// yields the result. Shorthand for
+    /// `submit_request(Request::new(jpeg))`.
     ///
     /// When the bounded ingress queue is full the request is shed
     /// immediately: the channel already holds
     /// `Err(`[`LiveError::Overloaded`]`)`.
-    pub fn submit(&self, jpeg: Vec<u8>) -> Receiver<Result<LiveResult, LiveError>> {
-        self.submit_with_deadline(jpeg, None)
+    pub fn submit(&self, jpeg: Vec<u8>) -> ReplyReceiver {
+        self.submit_request(Request::new(jpeg))
     }
 
-    /// Like [`submit`](Self::submit), but with a per-request deadline that
-    /// overrides [`LiveOptions::deadline`]. The network front-end uses
-    /// this to propagate a client-supplied deadline from the wire into the
-    /// shedding machinery; `None` keeps the server-wide default.
-    pub fn submit_with_deadline(
-        &self,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Receiver<Result<LiveResult, LiveError>> {
-        self.submit_traced(jpeg, deadline, None)
-    }
-
-    /// Like [`submit_with_deadline`](Self::submit_with_deadline), but with
-    /// a caller-supplied trace id. The network front-end passes the id it
-    /// recorded its transfer/deserialize spans under, so a wire request's
-    /// spans join into one timeline across both layers. `None` assigns
-    /// the next in-process id (a counter from 1).
-    pub fn submit_traced(
-        &self,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-        trace_id: Option<u64>,
-    ) -> Receiver<Result<LiveResult, LiveError>> {
-        self.submit_inner(0, jpeg, deadline, trace_id, None)
-    }
-
-    /// Like [`submit_traced`](Self::submit_traced), but attaches a
-    /// completion hook that fires exactly once after the reply value is
-    /// placed in the returned channel (including the shed paths and, on
-    /// shutdown, a dropped-unreplied request — `try_recv` then yields
-    /// `Err`, which callers should treat as [`LiveError::Disconnected`]).
+    /// Submits one [`Request`] — the single entry point behind
+    /// [`submit`](Self::submit), [`infer`](Self::infer) and the net
+    /// front-end. Never blocks: every outcome, sheds included, flows
+    /// through the returned channel, and [`Request::hook`] fires exactly
+    /// once after the reply value is in it.
     ///
-    /// This is the bridge for readiness-driven callers: the evented net
-    /// front-end passes a hook that pushes a completion token and wakes
-    /// its poller, so no thread ever blocks on the receiver. By the time
-    /// the hook runs, `try_recv` on the returned channel is guaranteed to
-    /// succeed for replied requests.
-    pub fn submit_hooked(
-        &self,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-        trace_id: Option<u64>,
-        hook: Box<dyn FnOnce() + Send>,
-    ) -> Receiver<Result<LiveResult, LiveError>> {
-        self.submit_inner(0, jpeg, deadline, trace_id, Some(hook))
+    /// An out-of-range lane or an unregistered pipeline name answers
+    /// [`LiveError::Disconnected`] immediately (route-time callers should
+    /// check [`lane_of`](Self::lane_of) /
+    /// [`has_pipeline`](Self::has_pipeline) first and reject with a
+    /// request error instead).
+    pub fn submit_request(&self, req: Request<'_>) -> ReplyReceiver {
+        let Request {
+            target,
+            jpeg,
+            deadline,
+            trace_id,
+            hook,
+        } = req;
+        match target {
+            Target::Lane(lane) => self.submit_inner(lane, jpeg, deadline, trace_id, hook),
+            Target::Pipeline(name) => match self.pipeline_of(name) {
+                Some(driver) => driver.submit(jpeg, deadline, trace_id, hook),
+                None => {
+                    let (tx, rx) = bounded(1);
+                    ReplySlot { tx, hook }.send(Err(LiveError::Disconnected));
+                    rx
+                }
+            },
+        }
     }
 
     /// Number of tenant lanes (1 for single-lane servers).
@@ -1463,34 +1503,6 @@ impl LiveServer {
     /// Tenant specs in lane order.
     pub fn lane_specs(&self) -> Vec<TenantSpec> {
         self.lanes.iter().map(|l| l.spec.clone()).collect()
-    }
-
-    /// Like [`submit`](Self::submit), addressed to a specific lane.
-    pub fn submit_lane(&self, lane: usize, jpeg: Vec<u8>) -> ReplyReceiver {
-        self.submit_inner(lane, jpeg, None, None, None)
-    }
-
-    /// Lane-addressed [`submit_traced`](Self::submit_traced).
-    pub fn submit_lane_traced(
-        &self,
-        lane: usize,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-        trace_id: Option<u64>,
-    ) -> ReplyReceiver {
-        self.submit_inner(lane, jpeg, deadline, trace_id, None)
-    }
-
-    /// Lane-addressed [`submit_hooked`](Self::submit_hooked).
-    pub fn submit_lane_hooked(
-        &self,
-        lane: usize,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-        trace_id: Option<u64>,
-        hook: Box<dyn FnOnce() + Send>,
-    ) -> ReplyReceiver {
-        self.submit_inner(lane, jpeg, deadline, trace_id, Some(hook))
     }
 
     fn submit_inner(
@@ -1729,9 +1741,9 @@ impl LiveServer {
     }
 
     /// Registers (or replaces) a named multi-stage pipeline executor.
-    /// [`submit_pipeline`](Self::submit_pipeline) and the net front-end
-    /// route to it by name. The server drops every registered driver
-    /// *before* shutting down its own workers.
+    /// [`submit_request`](Self::submit_request) with [`Target::Pipeline`]
+    /// and the net front-end route to it by name. The server drops every
+    /// registered driver *before* shutting down its own workers.
     pub fn register_pipeline(&self, name: &str, driver: Arc<dyn PipelineDriver>) {
         self.pipelines
             .lock()
@@ -1749,52 +1761,6 @@ impl LiveServer {
             .contains_key(name)
     }
 
-    /// Submits a frame to a registered pipeline; the returned channel
-    /// yields the joined cascade result. Unknown names answer
-    /// [`LiveError::Disconnected`] immediately (route-time callers should
-    /// check [`has_pipeline`](Self::has_pipeline) first and reject with a
-    /// request error instead).
-    pub fn submit_pipeline(&self, name: &str, jpeg: Vec<u8>) -> ReplyReceiver {
-        self.submit_pipeline_traced(name, jpeg, None, None)
-    }
-
-    /// [`submit_pipeline`](Self::submit_pipeline) with a deadline and a
-    /// caller-supplied trace id (the id every stage's spans record
-    /// under, linking the parent and its fan-out children).
-    pub fn submit_pipeline_traced(
-        &self,
-        name: &str,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-        trace_id: Option<u64>,
-    ) -> ReplyReceiver {
-        match self.pipeline_of(name) {
-            Some(driver) => driver.submit(jpeg, deadline, trace_id, None),
-            None => disconnected_reply(),
-        }
-    }
-
-    /// [`submit_pipeline_traced`](Self::submit_pipeline_traced) with a
-    /// completion hook for evented callers, firing exactly once after
-    /// the joined reply is in the channel (shed and shutdown included).
-    pub fn submit_pipeline_hooked(
-        &self,
-        name: &str,
-        jpeg: Vec<u8>,
-        deadline: Option<Duration>,
-        trace_id: Option<u64>,
-        hook: Box<dyn FnOnce() + Send>,
-    ) -> ReplyReceiver {
-        match self.pipeline_of(name) {
-            Some(driver) => driver.submit(jpeg, deadline, trace_id, Some(hook)),
-            None => {
-                let rx = disconnected_reply();
-                hook();
-                rx
-            }
-        }
-    }
-
     fn pipeline_of(&self, name: &str) -> Option<Arc<dyn PipelineDriver>> {
         self.pipelines
             .lock()
@@ -1804,19 +1770,12 @@ impl LiveServer {
     }
 }
 
-/// A reply channel pre-filled with [`LiveError::Disconnected`].
-fn disconnected_reply() -> ReplyReceiver {
-    let (tx, rx) = bounded(1);
-    let _ = tx.send(Err(LiveError::Disconnected));
-    rx
-}
-
 /// A registered multi-stage pipeline executor, as seen by the server and
 /// the net front-end. `vserve-pipeline`'s `PipelineRunner` implements
 /// this; the trait lives here so the front-end can dispatch cascades
 /// without depending on the pipeline crate.
 ///
-/// `submit` mirrors the shape of [`LiveServer::submit_hooked`]: it must
+/// `submit` mirrors the shape of [`LiveServer::submit_request`]: it must
 /// never block the caller, every outcome (including sheds) flows through
 /// the returned channel, and a supplied hook fires exactly once after the
 /// reply value is in the channel.
@@ -2024,6 +1983,13 @@ mod tests {
         LiveServer::start(model, tiny_opts(max_batch))
     }
 
+    fn to_lane(lane: usize, jpeg: Vec<u8>) -> Request<'static> {
+        Request {
+            target: Target::Lane(lane),
+            ..Request::new(jpeg)
+        }
+    }
+
     #[test]
     fn single_request_round_trips() {
         let server = tiny_server(4);
@@ -2080,15 +2046,13 @@ mod tests {
         let jpeg = synthetic_jpeg(&ImageSpec::new(48, 40, 0), 5);
         let f = Arc::clone(&fired);
         let n = notify_tx.clone();
-        let rx = server.submit_hooked(
-            jpeg,
-            None,
-            None,
-            Box::new(move || {
+        let rx = server.submit_request(Request {
+            hook: Some(Box::new(move || {
                 f.fetch_add(1, Ordering::SeqCst);
                 let _ = n.send(());
-            }),
-        );
+            })),
+            ..Request::new(jpeg)
+        });
         notify_rx
             .recv_timeout(Duration::from_secs(30))
             .expect("hook must fire");
@@ -2099,15 +2063,13 @@ mod tests {
         // Error path (decode failure) fires the hook the same way.
         let f = Arc::clone(&fired);
         let n = notify_tx.clone();
-        let rx = server.submit_hooked(
-            vec![1, 2, 3],
-            None,
-            None,
-            Box::new(move || {
+        let rx = server.submit_request(Request {
+            hook: Some(Box::new(move || {
                 f.fetch_add(1, Ordering::SeqCst);
                 let _ = n.send(());
-            }),
-        );
+            })),
+            ..Request::new(vec![1, 2, 3])
+        });
         notify_rx
             .recv_timeout(Duration::from_secs(30))
             .expect("hook must fire on error path");
@@ -2122,7 +2084,7 @@ mod tests {
     fn hook_fires_on_shutdown_drop() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         // Requests still queued when the server shuts down must fire
-        // their hooks (via ReplySlot::drop), so an evented front-end can
+        // their hooks (via ReplySlot::drop), so the net front-end can
         // fail them as Disconnected instead of leaking conn slots.
         let fired = Arc::new(AtomicUsize::new(0));
         let n_requests: usize = 12;
@@ -2130,14 +2092,12 @@ mod tests {
             let server = tiny_server(4);
             for i in 0..n_requests {
                 let f = Arc::clone(&fired);
-                let _ = server.submit_hooked(
-                    synthetic_jpeg(&ImageSpec::new(40, 40, 0), 100 + i as u64),
-                    None,
-                    None,
-                    Box::new(move || {
+                let _ = server.submit_request(Request {
+                    hook: Some(Box::new(move || {
                         f.fetch_add(1, Ordering::SeqCst);
-                    }),
-                );
+                    })),
+                    ..Request::new(synthetic_jpeg(&ImageSpec::new(40, 40, 0), 100 + i as u64))
+                });
             }
             // Dropping the server here: some requests complete, the rest
             // are dropped by worker shutdown.
@@ -2147,6 +2107,174 @@ mod tests {
             n_requests,
             "every submitted request fires its hook exactly once"
         );
+    }
+
+    /// Every [`Request`] shape through the one entry point: {lane 0, named
+    /// lane, out-of-range lane, registered pipeline, unknown pipeline} ×
+    /// {hook, no hook} × {served, shed by a full queue}. Each request gets
+    /// exactly one reply and exactly one hook call, the hook never runs
+    /// before the reply is receivable, and an unroutable target answers
+    /// `Disconnected` with the hook still fired.
+    #[test]
+    fn submit_request_replies_once_for_every_request_shape() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+        /// Stand-in cascade: one stage on lane 0 with reserved capacity,
+        /// shedding like a runner whose fan-out reservation does not fit.
+        struct OneStage {
+            handle: PipelineHandle,
+            full: AtomicBool,
+        }
+        impl PipelineDriver for OneStage {
+            fn submit(
+                &self,
+                jpeg: Vec<u8>,
+                deadline: Option<Duration>,
+                trace_id: Option<u64>,
+                hook: Option<Box<dyn FnOnce() + Send>>,
+            ) -> ReplyReceiver {
+                if self.full.load(Ordering::SeqCst) {
+                    let (tx, rx) = bounded(1);
+                    ReplySlot { tx, hook }.send(Err(LiveError::Overloaded));
+                    return rx;
+                }
+                self.handle
+                    .submit_reserved(0, jpeg, deadline, trace_id, hook)
+            }
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Outcome {
+            Served,
+            Overloaded,
+            Disconnected,
+        }
+
+        let model = Model::from_graph(models::micro_cnn(32, 10).unwrap(), 3);
+        let server = LiveServer::start(
+            model,
+            LiveOptions {
+                preproc_workers: 1,
+                queue_cap: 2,
+                tenants: vec![
+                    TenantSpec::new("a", "default"),
+                    TenantSpec::new("b", "default"),
+                ],
+                ..tiny_opts(4)
+            },
+        );
+        let cascade = Arc::new(OneStage {
+            handle: server.pipeline_handle(),
+            full: AtomicBool::new(false),
+        });
+        server.register_pipeline("cascade", cascade.clone());
+        let jpeg = synthetic_jpeg(&ImageSpec::new(40, 40, 0), 77);
+        let hooks: Mutex<Vec<Arc<AtomicUsize>>> = Mutex::new(Vec::new());
+
+        // Submits one request of the given shape and returns its single
+        // reply. With a hook the reply is only looked at after the hook
+        // has run, and must already be there.
+        let run = |target: Target<'_>, with_hook: bool| -> Outcome {
+            let (notify_tx, notify_rx) = bounded::<()>(1);
+            let hook = with_hook.then(|| {
+                let fired = Arc::new(AtomicUsize::new(0));
+                hooks.lock().unwrap().push(Arc::clone(&fired));
+                Box::new(move || {
+                    fired.fetch_add(1, Ordering::SeqCst);
+                    let _ = notify_tx.send(());
+                }) as Box<dyn FnOnce() + Send>
+            });
+            let rx = server.submit_request(Request {
+                target,
+                hook,
+                ..Request::new(jpeg.clone())
+            });
+            let reply = if with_hook {
+                notify_rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("hook must fire");
+                rx.try_recv().expect("reply must precede hook")
+            } else {
+                rx.recv_timeout(Duration::from_secs(30))
+                    .expect("one reply per request")
+            };
+            assert!(rx.try_recv().is_err(), "a second reply for {target:?}");
+            match reply {
+                Ok(r) => {
+                    assert_eq!(r.output.len(), 10);
+                    Outcome::Served
+                }
+                Err(LiveError::Overloaded) => Outcome::Overloaded,
+                Err(LiveError::Disconnected) => Outcome::Disconnected,
+                Err(e) => panic!("unexpected error {e} for {target:?}"),
+            }
+        };
+
+        let named = server.lane_of("b").expect("tenant b has a lane");
+        assert_eq!(named, 1);
+        let table = [
+            (Target::Lane(0), true),
+            (Target::Lane(named), true),
+            (Target::Lane(server.lane_count()), false),
+            (Target::Pipeline("cascade"), true),
+            (Target::Pipeline("nope"), false),
+        ];
+
+        // Column 1: the queue has room, routable targets are served.
+        for (target, routable) in table {
+            for with_hook in [true, false] {
+                let want = if routable {
+                    Outcome::Served
+                } else {
+                    Outcome::Disconnected
+                };
+                assert_eq!(run(target, with_hook), want, "{target:?} hook {with_hook}");
+            }
+        }
+        assert_eq!(server.metrics().rejected, 0);
+
+        // Column 2: a full queue. The only preproc worker is parked inside
+        // the hook of a request it failed to decode, two fillers occupy
+        // the two ingress slots, so the next lane request finds no room.
+        let (entered_tx, entered_rx) = bounded::<()>(1);
+        let (gate_tx, gate_rx) = bounded::<()>(1);
+        let blocker = server.submit_request(Request {
+            hook: Some(Box::new(move || {
+                let _ = entered_tx.send(());
+                let _ = gate_rx.recv();
+            })),
+            ..Request::new(vec![1, 2, 3])
+        });
+        entered_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("worker reaches the blocking hook");
+        let fillers = [server.submit(jpeg.clone()), server.submit(jpeg.clone())];
+        cascade.full.store(true, Ordering::SeqCst);
+        for (target, routable) in table {
+            for with_hook in [true, false] {
+                let want = if routable {
+                    Outcome::Overloaded
+                } else {
+                    Outcome::Disconnected
+                };
+                assert_eq!(run(target, with_hook), want, "{target:?} hook {with_hook}");
+            }
+        }
+        // Two lane shapes × {hook, no hook} were shed at the ingress queue.
+        assert_eq!(server.metrics().rejected, 4);
+        gate_tx.send(()).unwrap();
+        assert!(matches!(blocker.recv().unwrap(), Err(LiveError::Decode(_))));
+        for rx in fillers {
+            assert_eq!(rx.recv().unwrap().unwrap().output.len(), 10);
+        }
+
+        drop(cascade);
+        drop(server);
+        let hooks = hooks.into_inner().unwrap();
+        assert_eq!(hooks.len(), 2 * table.len());
+        for fired in hooks {
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "hook fires exactly once");
+        }
     }
 
     #[test]
@@ -2447,7 +2575,10 @@ mod tests {
         let server = LiveServer::start(model, tiny_opts(4));
         let jpeg = synthetic_jpeg(&ImageSpec::new(32, 32, 0), 61);
         let err = server
-            .submit_with_deadline(jpeg.clone(), Some(Duration::ZERO))
+            .submit_request(Request {
+                deadline: Some(Duration::ZERO),
+                ..Request::new(jpeg.clone())
+            })
             .recv()
             .unwrap()
             .unwrap_err();
@@ -2463,7 +2594,10 @@ mod tests {
             },
         );
         let r = server
-            .submit_with_deadline(jpeg, Some(Duration::from_secs(60)))
+            .submit_request(Request {
+                deadline: Some(Duration::from_secs(60)),
+                ..Request::new(jpeg)
+            })
             .recv()
             .unwrap()
             .unwrap();
@@ -2829,8 +2963,8 @@ mod tests {
         let mut rx_small = Vec::new();
         let mut rx_large = Vec::new();
         for j in &jpegs {
-            rx_small.push(server.submit_lane(0, j.clone()));
-            rx_large.push(server.submit_lane(1, j.clone()));
+            rx_small.push(server.submit_request(to_lane(0, j.clone())));
+            rx_large.push(server.submit_request(to_lane(1, j.clone())));
         }
         for (i, rx) in rx_small.into_iter().enumerate() {
             let out = rx.recv().unwrap().unwrap().output;
@@ -2910,7 +3044,10 @@ mod tests {
         let model = Model::from_graph(models::micro_cnn(32, 10).unwrap(), 3);
         let server = LiveServer::start(model, tiny_opts(4));
         let err = server
-            .submit_with_deadline(jpeg, Some(Duration::ZERO))
+            .submit_request(Request {
+                deadline: Some(Duration::ZERO),
+                ..Request::new(jpeg)
+            })
             .recv()
             .unwrap()
             .unwrap_err();
@@ -2952,7 +3089,7 @@ mod tests {
         let model = Model::from_graph(models::micro_cnn(96, 10).unwrap(), 3);
         let server = LiveServer::start(model, opts(Tracer::with_capacity(4096)));
         let solo_rx: Vec<_> = (0..4)
-            .map(|_| server.submit_lane(0, jpeg.clone()))
+            .map(|_| server.submit_request(to_lane(0, jpeg.clone())))
             .collect();
         for rx in solo_rx {
             let _ = rx.recv().unwrap().unwrap();
@@ -2965,11 +3102,14 @@ mod tests {
         let model = Model::from_graph(models::micro_cnn(96, 10).unwrap(), 3);
         let server = LiveServer::start(model, opts(Tracer::with_capacity(4096)));
         let flood: Vec<_> = (0..24)
-            .map(|i| server.submit_lane(1, synthetic_jpeg(&ImageSpec::new(48, 48, 0), 300 + i)))
+            .map(|i| {
+                let flood_jpeg = synthetic_jpeg(&ImageSpec::new(48, 48, 0), 300 + i);
+                server.submit_request(to_lane(1, flood_jpeg))
+            })
             .collect();
         let mut lc_rx = Vec::new();
         for _ in 0..4 {
-            lc_rx.push(server.submit_lane(0, jpeg.clone()));
+            lc_rx.push(server.submit_request(to_lane(0, jpeg.clone())));
         }
         for rx in lc_rx {
             let _ = rx.recv().unwrap().unwrap();
@@ -3014,10 +3154,10 @@ mod tests {
         let n = 20;
         let receivers: Vec<_> = (0..n)
             .map(|i| {
-                server.submit_lane(
+                server.submit_request(to_lane(
                     i % 2,
                     synthetic_jpeg(&ImageSpec::new(40, 40, 0), 400 + i as u64),
-                )
+                ))
             })
             .collect();
         for rx in receivers {

@@ -1080,7 +1080,7 @@ mod live_tests {
     use super::*;
     use vserve_device::ImageSpec;
     use vserve_dnn::{models, Model};
-    use vserve_server::live::{LiveOptions, LiveServer};
+    use vserve_server::live::{LiveOptions, LiveServer, Request, Target};
     use vserve_workload::synthetic_jpeg;
 
     #[test]
@@ -1168,10 +1168,13 @@ mod live_tests {
         for wave in 0..4 {
             let rxs: Vec<_> = (0..8)
                 .map(|i| {
-                    live.submit_lane(
-                        (i % 2) as usize,
-                        synthetic_jpeg(&ImageSpec::new(40, 40, 0), 500 + wave * 8 + i),
-                    )
+                    live.submit_request(Request {
+                        target: Target::Lane((i % 2) as usize),
+                        ..Request::new(synthetic_jpeg(
+                            &ImageSpec::new(40, 40, 0),
+                            500 + wave * 8 + i,
+                        ))
+                    })
                 })
                 .collect();
             for rx in rxs {

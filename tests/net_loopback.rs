@@ -400,15 +400,6 @@ fn scrape_shows_controller_decisions_when_tuning_enabled() {
     assert_eq!(client.infer(&payload(999)).expect("infer").output.len(), 10);
 }
 
-/// True when the servers in this process run the evented front-end
-/// (mirrors `NetOptions::evented`'s env default).
-fn evented_mode() -> bool {
-    match std::env::var(vserve_net::NET_EVENTED_ENV) {
-        Ok(v) => matches!(v.trim(), "1" | "true" | "yes" | "on"),
-        Err(_) => cfg!(unix),
-    }
-}
-
 /// Pulls the value of a single-sample gauge out of an exposition.
 fn gauge(text: &str, name: &str) -> f64 {
     text.lines()
@@ -459,15 +450,12 @@ fn scrape_exposes_connection_gauges() {
 
     // After a graceful drain with nothing in flight, every connection
     // closes and nothing is stuck draining. Polled through the in-process
-    // metrics view so the poll itself keeps no connection open. The
-    // threaded acceptor pre-reserves one slot while blocked in accept(),
-    // so its idle floor is 1, not 0.
-    let floor = if evented_mode() { 0 } else { 1 };
+    // metrics view so the poll itself keeps no connection open.
     server.drain_connections();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let m = server.metrics();
-        if m.active <= floor && m.draining == 0 {
+        if m.active == 0 && m.draining == 0 {
             break;
         }
         assert!(
@@ -480,7 +468,7 @@ fn scrape_exposes_connection_gauges() {
     }
     // The exposition (same document a scrape frame gets) agrees.
     let text = server.exposition();
-    assert!(gauge(&text, "vserve_conns_open ") <= floor as f64);
+    assert_eq!(gauge(&text, "vserve_conns_open "), 0.0);
     assert_eq!(gauge(&text, "vserve_conns_draining "), 0.0);
 }
 
@@ -671,16 +659,12 @@ fn mid_frame_disconnects_leave_server_healthy() {
     assert_eq!(server.metrics().live.completed, 1);
 }
 
-/// High-connection smoke: the evented front-end holds hundreds-to-
-/// thousands of idle connections (bounded only by the fd soft limit)
-/// while still serving. `VSERVE_NET_SMOKE_CONNS` scales it up to the
-/// 10k-connection CI run; threaded mode skips (thread-per-conn is the
-/// baseline this exists to beat).
+/// High-connection smoke: the event loop holds hundreds-to-thousands of
+/// idle connections (bounded only by the fd soft limit) while still
+/// serving. `VSERVE_NET_SMOKE_CONNS` scales it up to the 10k-connection
+/// CI run.
 #[test]
 fn idle_connection_flood_smoke() {
-    if !evented_mode() {
-        return; // 2×N threads would be the old architecture's problem
-    }
     let budget = vserve_net::fd_soft_limit()
         .map(|l| (l.saturating_sub(512) / 2) as usize)
         .unwrap_or(256);
@@ -796,8 +780,7 @@ fn router_tier_bit_identical_to_in_process() {
 
 /// The wire's own spans (`0-net-transfer`, `0-deserialize`) must join the
 /// live pipeline's timeline under the same composed request id, so one
-/// trace shows a request from first byte to batched inference — through
-/// the event loop exactly as through the threaded path.
+/// trace shows a request from first byte to batched inference.
 #[test]
 fn wire_spans_join_live_timeline() {
     use vserve_server::stages;
@@ -860,8 +843,7 @@ fn wire_spans_join_live_timeline() {
 
 /// Tenant-tagged (`VRQ2`) frames route to the named lane, quota sheds
 /// come back as typed `QuotaExceeded` frames on a healthy connection,
-/// and an unknown tenant is a typed rejection — in whichever front-end
-/// mode (threaded or evented) this process runs.
+/// and an unknown tenant is a typed rejection.
 #[test]
 fn tenant_frames_route_and_shed_typed_over_the_wire() {
     use vserve_server::TenantSpec;

@@ -315,10 +315,7 @@ fn tracing_overhead_within_three_percent() {
             server.infer(p.clone()).expect("warm-up");
         }
         let t0 = Instant::now();
-        let pending: Vec<_> = payloads
-            .iter()
-            .map(|p| server.submit_with_deadline(p.clone(), None))
-            .collect();
+        let pending: Vec<_> = payloads.iter().map(|p| server.submit(p.clone())).collect();
         for rx in pending {
             rx.recv().expect("reply").expect("infer");
         }
