@@ -11,6 +11,7 @@
 use std::cell::RefCell;
 
 use vserve_compute::{Backend, Scratch};
+use vserve_simd::round_u8;
 use vserve_tensor::{Image, PixelFormat};
 
 use crate::bits::BitReader;
@@ -478,6 +479,10 @@ fn parse_sos(seg: &[u8], dec: &mut Decoder) -> Result<(), DecodeJpegError> {
             ))?;
         comp.dc_table = (tables >> 4) as usize;
         comp.ac_table = (tables & 0x0f) as usize;
+        // Baseline allows destinations 0..=3; the scan indexes `[_; 4]`.
+        if comp.dc_table > 3 || comp.ac_table > 3 {
+            return Err(DecodeJpegError::Malformed("Huffman table id out of range"));
+        }
     }
     Ok(())
 }
@@ -673,69 +678,61 @@ fn assemble_image(
         let (pw, _) = plane_dims[0];
         let mut data = vec![0u8; w * h];
         bk.par_chunks_mut(&mut data, w, |y, row| {
-            for (x, px) in row.iter_mut().enumerate() {
-                *px = planes[0][y * pw + x].round().clamp(0.0, 255.0) as u8;
+            for (px, &v) in row.iter_mut().zip(&planes[0][y * pw..y * pw + w]) {
+                *px = round_u8(v);
             }
         });
         return Image::from_raw(w, h, PixelFormat::Gray8, data)
             .map_err(|_| DecodeJpegError::Malformed("image assembly size mismatch"));
     }
 
-    let simd = !vserve_simd::active_level().is_scalar();
+    // Nearest-neighbour upsampling: output pixel (x, y) reads sample
+    // (x·h/max_h, y·v/max_v) of each component. Sampling factors are 1 or
+    // 2 (`parse_sof`), so each one divides the maximum and that is
+    // (x / rep_h, y / rep_v) with whole-number repeats: each sample
+    // covers `rep_h` output pixels, each plane row `rep_v` output rows.
+    // Planes are padded to whole MCUs, so no index needs clamping.
+    let geo: [(usize, usize, usize); 3] = std::array::from_fn(|ci| {
+        let comp = &frame.components[ci];
+        (plane_dims[ci].0, max_h / comp.h, max_v / comp.v)
+    });
     let mut data = vec![0u8; w * h * 3];
-    bk.par_chunks_mut(&mut data, w * 3, |y, row| {
-        if simd {
-            // Strip-at-a-time: gather the (non-contiguous) upsample taps
-            // for up to STRIP pixels into stack buffers, then hand the
-            // whole strip to the SIMD color-convert kernel. Per-element
-            // arithmetic matches the scalar loop below bit for bit.
-            const STRIP: usize = 64;
-            let mut comp_bufs = [[0f32; STRIP]; 3];
-            let mut x0 = 0;
-            while x0 < w {
-                let len = STRIP.min(w - x0);
-                for (ci, comp) in frame.components.iter().enumerate() {
-                    let (pw, ph) = plane_dims[ci];
-                    let sy = (y * comp.v / max_v).min(ph - 1);
-                    let prow = &planes[ci][sy * pw..sy * pw + pw];
-                    let buf = &mut comp_bufs[ci][..len];
-                    if comp.h == max_h {
-                        // Full-resolution plane: sx == x (pw ≥ w).
-                        buf.copy_from_slice(&prow[x0..x0 + len]);
-                    } else {
-                        for (j, b) in buf.iter_mut().enumerate() {
-                            let sx = ((x0 + j) * comp.h / max_h).min(pw - 1);
-                            *b = prow[sx];
+    // One band = the `max_v` output rows that share every subsampled row.
+    bk.par_chunks_mut(&mut data, w * 3 * max_v, |band, rows| {
+        // Strip-at-a-time, so an upsampled strip stays in L1 for the rows
+        // that reuse it. Full-resolution rows go to the kernel as they
+        // lie in the plane.
+        const STRIP: usize = 64;
+        let mut upsampled = [[0f32; STRIP]; 3];
+        for x0 in (0..w).step_by(STRIP) {
+            let len = STRIP.min(w - x0);
+            for (dy, row) in rows.chunks_mut(w * 3).enumerate() {
+                let y = band * max_v + dy;
+                for (ci, &(pw, rep_h, rep_v)) in geo.iter().enumerate() {
+                    // Unchanged since the previous row of the band when
+                    // this component is subsampled vertically.
+                    if rep_h > 1 && (dy == 0 || rep_v == 1) {
+                        let src = &planes[ci][(y / rep_v) * pw + x0 / rep_h..];
+                        for (dup, &v) in upsampled[ci][..len].chunks_mut(rep_h).zip(src) {
+                            dup.fill(v);
                         }
                     }
                 }
-                let [yb, cbb, crb] = &comp_bufs;
+                let [yv, cb, cr]: [&[f32]; 3] = std::array::from_fn(|ci| {
+                    let (pw, rep_h, rep_v) = geo[ci];
+                    if rep_h > 1 {
+                        &upsampled[ci][..len]
+                    } else {
+                        &planes[ci][(y / rep_v) * pw + x0..][..len]
+                    }
+                });
                 vserve_simd::kernels::ycbcr_to_rgb_row(
-                    &yb[..len],
-                    &cbb[..len],
-                    &crb[..len],
+                    yv,
+                    cb,
+                    cr,
                     &mut row[x0 * 3..(x0 + len) * 3],
                 );
-                x0 += len;
             }
-            return;
-        }
-        for x in 0..w {
-            let mut ycc = [0f32; 3];
-            for (ci, comp) in frame.components.iter().enumerate() {
-                let (pw, ph) = plane_dims[ci];
-                // Nearest-neighbour upsampling from the subsampled grid.
-                let sx = (x * comp.h / max_h).min(pw - 1);
-                let sy = (y * comp.v / max_v).min(ph - 1);
-                ycc[ci] = planes[ci][sy * pw + sx];
-            }
-            let (yv, cb, cr) = (ycc[0], ycc[1] - 128.0, ycc[2] - 128.0);
-            let r = yv + 1.402 * cr;
-            let g = yv - 0.344_136 * cb - 0.714_136 * cr;
-            let b = yv + 1.772 * cb;
-            row[x * 3] = r.round().clamp(0.0, 255.0) as u8;
-            row[x * 3 + 1] = g.round().clamp(0.0, 255.0) as u8;
-            row[x * 3 + 2] = b.round().clamp(0.0, 255.0) as u8;
         }
     });
     Image::from_raw(w, h, PixelFormat::Rgb8, data)

@@ -2037,6 +2037,27 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_sos_selector_is_a_typed_error_and_workers_survive() {
+        // A valid JPEG with one byte changed: the first scan component's
+        // Huffman table selector (FF DA, length, count, id, Td/Ta) set to
+        // an undefined destination. Once per preprocessing worker and one
+        // more, so a worker lost to it would leave a request unanswered.
+        let server = tiny_server(4);
+        let good = synthetic_jpeg(&ImageSpec::new(48, 40, 0), 5);
+        let sos = good
+            .windows(2)
+            .position(|w| w == [0xff, 0xda])
+            .expect("has SOS");
+        let mut bad = good.clone();
+        bad[sos + 6] = 0x50;
+        for _ in 0..3 {
+            let err = server.infer(bad.clone()).unwrap_err();
+            assert!(matches!(err, LiveError::Decode(_)), "{err}");
+        }
+        assert_eq!(server.infer(good).unwrap().output.len(), 10);
+    }
+
+    #[test]
     fn hook_fires_after_reply_is_receivable() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let server = tiny_server(4);

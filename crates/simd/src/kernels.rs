@@ -9,13 +9,15 @@
 //! * [`idct8x8`] — both passes are broadcast-coefficient × contiguous
 //!   8-wide basis/tmp rows; lanes across `x`, reduction over `u`/`v`
 //!   serial ascending.
-//! * [`ycbcr_to_rgb_row`] — lanes across pixels; the caller gathers the
-//!   (subsampled, hence non-contiguous) Y/Cb/Cr samples into contiguous
-//!   rows, the `round().clamp().cast()` finish stays scalar per lane
-//!   because `f32::round` (half-away-from-zero) has no exact vector
-//!   equivalent.
+//! * [`ycbcr_to_rgb_row`] — lanes across pixels; the caller passes
+//!   full-resolution Y/Cb/Cr rows (plane rows directly, upsampled
+//!   strips for subsampled components), and the round-clamp-cast finish
+//!   runs in the lanes too ([`F32x::store_rgb_u8`]: the
+//!   truncate-and-compare identity of [`crate::round_u8`], exact for
+//!   every `f32`).
 //! * [`resize_norm_row`] — lanes across output pixels; the caller
-//!   gathers the four bilinear taps and `wx` into contiguous rows, the
+//!   gathers the four bilinear taps into contiguous rows and passes `wx`
+//!   as a slice of its per-call tap table, the
 //!   lerp / `/255` / normalize arithmetic runs vectorized (division
 //!   included — IEEE division is exactly rounded, so `div` is
 //!   bit-identical to scalar `/`).
@@ -24,7 +26,7 @@
 //! the consuming crate's original scalar expression, used by the
 //! differential tests as the oracle.
 
-use crate::{dispatch, dispatch8, F32x, SimdOp};
+use crate::{dispatch, dispatch8, round_u8, F32x, SimdOp};
 
 /// Rows per GEMM register tile (must match `vserve-dnn`'s `GEMM_MR`).
 pub const TILE_MR: usize = 4;
@@ -216,8 +218,6 @@ pub fn idct8x8_ref(coeffs: &[f32; 64], basis: &[[f32; 8]; 8]) -> [f32; 64] {
 
 // ------------------------------------------------------------- YCbCr
 
-const MAX_LANES: usize = 16;
-
 struct YcbcrRow<'a> {
     y: &'a [f32],
     cb: &'a [f32],
@@ -246,19 +246,9 @@ impl SimdOp for YcbcrRow<'_> {
                 let r = yv.add(kr.mul(crv));
                 let g = yv.sub(kgb.mul(cbv)).sub(kgr.mul(crv));
                 let b = yv.add(kb.mul(cbv));
-                let mut rl = [0f32; MAX_LANES];
-                let mut gl = [0f32; MAX_LANES];
-                let mut bl = [0f32; MAX_LANES];
-                r.store(rl.as_mut_ptr());
-                g.store(gl.as_mut_ptr());
-                b.store(bl.as_mut_ptr());
-                // round (half-away-from-zero) + clamp + cast stay scalar:
-                // no vector op reproduces f32::round's semantics exactly.
-                for l in 0..S::LANES {
-                    out[(i + l) * 3] = rl[l].round().clamp(0.0, 255.0) as u8;
-                    out[(i + l) * 3 + 1] = gl[l].round().clamp(0.0, 255.0) as u8;
-                    out[(i + l) * 3 + 2] = bl[l].round().clamp(0.0, 255.0) as u8;
-                }
+                // In bounds: `out.len() == 3 * n` (checked by the safe
+                // entry point) and `i + LANES <= n`.
+                S::store_rgb_u8(r, g, b, out.as_mut_ptr().add(i * 3));
                 i += S::LANES;
             }
         }
@@ -267,9 +257,9 @@ impl SimdOp for YcbcrRow<'_> {
             let r = yv + 1.402 * crv;
             let g = yv - 0.344_136 * cbv - 0.714_136 * crv;
             let b = yv + 1.772 * cbv;
-            out[i * 3] = r.round().clamp(0.0, 255.0) as u8;
-            out[i * 3 + 1] = g.round().clamp(0.0, 255.0) as u8;
-            out[i * 3 + 2] = b.round().clamp(0.0, 255.0) as u8;
+            out[i * 3] = round_u8(r);
+            out[i * 3 + 1] = round_u8(g);
+            out[i * 3 + 2] = round_u8(b);
             i += 1;
         }
     }
@@ -432,7 +422,7 @@ pub fn resize_norm_row_ref(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{available_levels, set_level, Level};
+    use crate::{available_levels, set_level, Level, MAX_LANES};
     use proptest::prelude::*;
 
     /// Deterministic pseudo-random f32s with awkward magnitudes.
@@ -529,6 +519,91 @@ mod tests {
                     want.map(f32::to_bits),
                     "level {l} seed {seed}"
                 );
+            });
+        }
+    }
+
+    /// The oracle `round_u8` replaces, libm call and all.
+    fn round_u8_ref(v: f32) -> u8 {
+        v.round().clamp(0.0, 255.0) as u8
+    }
+
+    /// Floats where rounding to `u8` can go wrong: ±64 ulp around every
+    /// integer and every half from −2 to 257.5, and the specials.
+    fn rounding_edge_cases() -> Vec<f32> {
+        let mut out = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            0.499_999_97,
+            8_388_607.5,
+            8_388_608.0,
+            -8_388_607.5,
+            2_147_483_648.0,
+            -2_147_483_904.0,
+            4_294_967_296.0,
+        ];
+        for k in -2i32..=257 {
+            for center in [k as f32, k as f32 + 0.5] {
+                let bits = center.to_bits() as i64;
+                for d in -64i64..=64 {
+                    // Stepping the bit pattern walks ulps away from zero;
+                    // either direction is "near `center`", which is all
+                    // this needs (±0.0 crossings wrap to tiny/NaN bit
+                    // patterns, which are fine inputs too).
+                    out.push(f32::from_bits((bits + d) as u32));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn round_u8_matches_f32_round_everywhere() {
+        for v in rounding_edge_cases() {
+            assert_eq!(
+                round_u8(v),
+                round_u8_ref(v),
+                "{v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+        // A 1-in-1024 stride over every bit pattern, offset so it is not
+        // only the patterns whose low mantissa bits are zero.
+        for i in 0..(1u32 << 22) {
+            let v = f32::from_bits(i << 10 | (i.wrapping_mul(0x9e37) & 0x3ff));
+            assert_eq!(round_u8(v), round_u8_ref(v), "{:#010x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn ycbcr_row_rounds_like_the_oracle_on_edge_values_at_every_level() {
+        // Neutral chroma makes r = g = b = y exactly (finite y), so the
+        // edge cases reach the lanes' round-to-u8 finish unchanged; a
+        // second pass puts them through the chroma terms as well.
+        let edge = rounding_edge_cases();
+        let n = edge.len();
+        let neutral = vec![128.0f32; n];
+        let shifted: Vec<f32> = edge.iter().map(|v| v + 128.0).collect();
+        for (y, cb, cr) in [
+            (&edge, &neutral, &neutral),
+            (&neutral, &shifted, &neutral),
+            (&neutral, &neutral, &shifted),
+        ] {
+            let mut want = vec![0u8; n * 3];
+            ycbcr_to_rgb_row_ref(y, cb, cr, &mut want);
+            for_each_level(|l| {
+                let mut got = vec![0u8; n * 3];
+                ycbcr_to_rgb_row(y, cb, cr, &mut got);
+                assert_eq!(&got, &want, "level {l}");
             });
         }
     }

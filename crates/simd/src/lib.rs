@@ -5,8 +5,11 @@
 //!
 //! * [`F32x`] — a trait over f32 lane operations (splat / load / store /
 //!   add / sub / mul / div / min / max / unfused [`F32x::mul_add`] /
-//!   ascending-order [`F32x::hsum`]), implemented for scalar, AVX2
-//!   (8 lanes), AVX-512 (16 lanes) and NEON (4 lanes).
+//!   ascending-order [`F32x::hsum`] / round-to-`u8` interleaving
+//!   [`F32x::store_rgb_u8`]), implemented for scalar, AVX2 (8 lanes),
+//!   AVX-512 (16 lanes) and NEON (4 lanes).
+//! * [`round_u8`] — the exact, libm-free `round().clamp(0, 255) as u8`
+//!   every pixel loop in the workspace finishes with.
 //! * [`SimdOp`] + [`dispatch`]/[`dispatch8`] — write a kernel once,
 //!   generic over `S: F32x`, and run it at whatever level the host
 //!   supports. [`dispatch8`] demotes AVX-512 to AVX2 for kernels whose
@@ -28,6 +31,20 @@
 //! does not contract to FMA by default) and implementations must not
 //! override it with a fused instruction.
 //!
+//! Rounding a value that is about to be clamped to `[0, 255]` needs no
+//! `f32::round` (an out-of-line `roundf` call on baseline x86-64, and the
+//! one step earlier revisions kept scalar per lane): with
+//! `c = v.clamp(0.0, 255.0)` and `t = c as i32` (truncation),
+//! `t + (c - t as f32 >= 0.5)` equals `v.round().clamp(0.0, 255.0) as u8`
+//! for **every** `f32`. Clamp commutes with round (round is monotone and
+//! fixes 0 and 255), `c - t` is exact (a multiple of ulp(`c`) smaller
+//! than 1), half-away-from-zero is half-up on `c ≥ 0`, and NaN ends at 0
+//! both ways (`NaN as i32 == 0`, `NaN >= 0.5` is false). Truncating
+//! convert, compare and integer add all exist as vector ops, so
+//! [`round_u8`] and [`F32x::store_rgb_u8`] are bit-identical to the
+//! `f32::round` oracle at every level
+//! (`round_u8_matches_f32_round_everywhere`).
+//!
 //! # Dispatch order
 //!
 //! `VSERVE_SIMD=avx512|avx2|neon|scalar` overrides auto-detection; a
@@ -48,6 +65,20 @@ pub use scalar::ScalarF32x;
 mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
+
+/// Widest lane count of any [`F32x`] implementation.
+const MAX_LANES: usize = 16;
+
+/// `v.round().clamp(0.0, 255.0) as u8` for every `f32` (−0.0, ±∞ and NaN
+/// included), without the `roundf` call `f32::round` compiles to below
+/// SSE4.1: clamp first, truncate, then add one where the dropped fraction
+/// is at least a half. See the crate docs for why this is exact.
+#[inline(always)]
+pub fn round_u8(v: f32) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    let t = c as i32;
+    (t + i32::from(c - t as f32 >= 0.5)) as u8
+}
 
 /// Operations over a small vector of `f32` lanes.
 ///
@@ -121,6 +152,26 @@ pub trait F32x: Copy {
     /// # Safety
     /// Caller must ensure the implementation's CPU feature is enabled.
     unsafe fn hsum(self) -> f32;
+    /// Rounds every lane of `r`, `g` and `b` to `u8` exactly as
+    /// [`round_u8`] does and stores the `3 * LANES` bytes interleaved
+    /// (`r0 g0 b0 r1 g1 b1 …`). The default goes lane by lane through
+    /// [`round_u8`]; the x86 levels override it with the same identity in
+    /// vector registers (truncating convert, `>=` mask, narrow, shuffle).
+    ///
+    /// # Safety
+    /// `out` must be valid for writing `3 * LANES` bytes; feature must be on.
+    #[inline(always)]
+    unsafe fn store_rgb_u8(r: Self, g: Self, b: Self, out: *mut u8) {
+        let mut lanes = [[0f32; MAX_LANES]; 3];
+        r.store(lanes[0].as_mut_ptr());
+        g.store(lanes[1].as_mut_ptr());
+        b.store(lanes[2].as_mut_ptr());
+        for l in 0..Self::LANES {
+            for (c, ch) in lanes.iter().enumerate() {
+                *out.add(l * 3 + c) = round_u8(ch[l]);
+            }
+        }
+    }
 }
 
 /// A kernel written once against [`F32x`], monomorphized per level by

@@ -236,7 +236,7 @@ impl Image {
             for x in 0..self.width {
                 let [r, g, b] = self.pixel(x, y);
                 let yv = 0.299 * f32::from(r) + 0.587 * f32::from(g) + 0.114 * f32::from(b);
-                out.put_pixel(x, y, [yv.round().clamp(0.0, 255.0) as u8; 3]);
+                out.put_pixel(x, y, [vserve_simd::round_u8(yv); 3]);
             }
         }
         out

@@ -12,6 +12,7 @@
 //! bit-identical to the serial variants for any thread count.
 
 use vserve_compute::Backend;
+use vserve_simd::round_u8;
 
 use crate::{Image, PixelFormat, Tensor};
 
@@ -57,6 +58,17 @@ pub fn resize_nearest_with(bk: &Backend, src: &Image, out_w: usize, out_h: usize
     dst
 }
 
+/// The two source taps and the weight of the second for output coordinate
+/// `i` of a bilinear resize with scale `s` onto a source whose last index
+/// is `max` (pixel centers at half-integers, edges clamped). The position
+/// is never negative, so the cast truncates exactly where `floor` would.
+#[inline(always)]
+fn bilinear_tap(i: usize, s: f32, max: usize) -> (usize, usize, f32) {
+    let f = ((i as f32 + 0.5) * s - 0.5).clamp(0.0, max as f32);
+    let i0 = f as usize;
+    (i0, (i0 + 1).min(max), f - i0 as f32)
+}
+
 /// Bilinear resize, the default interpolation in the paper's pipelines.
 ///
 /// # Panics
@@ -80,15 +92,9 @@ pub fn resize_bilinear_with(bk: &Backend, src: &Image, out_w: usize, out_h: usiz
     let max_x = src.width() - 1;
     let max_y = src.height() - 1;
     bk.par_chunks_mut(dst.as_bytes_mut(), out_w * ch, |y, row| {
-        let fy = ((y as f32 + 0.5) * sy - 0.5).clamp(0.0, max_y as f32);
-        let y0 = fy.floor() as usize;
-        let y1 = (y0 + 1).min(max_y);
-        let wy = fy - y0 as f32;
+        let (y0, y1, wy) = bilinear_tap(y, sy, max_y);
         for x in 0..out_w {
-            let fx = ((x as f32 + 0.5) * sx - 0.5).clamp(0.0, max_x as f32);
-            let x0 = fx.floor() as usize;
-            let x1 = (x0 + 1).min(max_x);
-            let wx = fx - x0 as f32;
+            let (x0, x1, wx) = bilinear_tap(x, sx, max_x);
             let p00 = src.pixel(x0, y0);
             let p10 = src.pixel(x1, y0);
             let p01 = src.pixel(x0, y1);
@@ -96,7 +102,7 @@ pub fn resize_bilinear_with(bk: &Backend, src: &Image, out_w: usize, out_h: usiz
             for c in 0..ch {
                 let top = f32::from(p00[c]) * (1.0 - wx) + f32::from(p10[c]) * wx;
                 let bot = f32::from(p01[c]) * (1.0 - wx) + f32::from(p11[c]) * wx;
-                row[x * ch + c] = (top * (1.0 - wy) + bot * wy).round().clamp(0.0, 255.0) as u8;
+                row[x * ch + c] = round_u8(top * (1.0 - wy) + bot * wy);
             }
         }
     });
@@ -130,24 +136,26 @@ pub fn resize_area_with(bk: &Backend, src: &Image, out_w: usize, out_h: usize) -
     let sx = src.width() as f64 / out_w as f64;
     let sy = src.height() as f64 / out_h as f64;
     bk.par_chunks_mut(dst.as_bytes_mut(), out_w * ch, |y, row| {
-        let y_start = (y as f64 * sy).floor() as usize;
+        let y_start = (y as f64 * sy) as usize;
         let y_end = (((y + 1) as f64 * sy).ceil() as usize).min(src.height());
         for x in 0..out_w {
-            let x_start = (x as f64 * sx).floor() as usize;
+            let x_start = (x as f64 * sx) as usize;
             let x_end = (((x + 1) as f64 * sx).ceil() as usize).min(src.width());
-            let mut acc = [0f64; 3];
-            let mut n = 0f64;
+            let mut acc = [0u64; 3];
             for yy in y_start..y_end {
                 for xx in x_start..x_end {
                     let p = src.pixel(xx, yy);
                     for c in 0..3 {
-                        acc[c] += f64::from(p[c]);
+                        acc[c] += u64::from(p[c]);
                     }
-                    n += 1.0;
                 }
             }
+            // Round-half-up of the exact mean. The f64 quotient this
+            // replaces rounded the same way: a mean that is not k + ½ is
+            // at least 1/(2n) from it, far more than f64's error.
+            let n = ((y_end - y_start) * (x_end - x_start)) as u64;
             for c in 0..ch {
-                row[x * ch + c] = (acc[c] / n).round().clamp(0.0, 255.0) as u8;
+                row[x * ch + c] = ((2 * acc[c] + n) / (2 * n)) as u8;
             }
         }
     });
@@ -335,76 +343,58 @@ pub fn fused_preprocess_with(bk: &Backend, src: &Image, side: usize) -> Tensor {
     let bytes = src.as_bytes();
     let sx = w as f32 / side as f32;
     let sy = h as f32 / side as f32;
-    let max_x = w - 1;
-    let max_y = h - 1;
-    let simd = !vserve_simd::active_level().is_scalar();
     let mut t = Tensor::zeros(&[1, c, side, side]);
-    bk.par_chunks_mut(t.as_mut_slice(), side, |i, row| {
-        let ch = i / side;
-        let y = i % side;
-        let (m, s) = if rgb {
-            (IMAGENET_MEAN[ch], IMAGENET_STD[ch])
-        } else {
-            (0.0, 1.0)
-        };
-        let fy = ((y as f32 + 0.5) * sy - 0.5).clamp(0.0, max_y as f32);
-        let y0 = fy.floor() as usize;
-        let y1 = (y0 + 1).min(max_y);
-        let wy = fy - y0 as f32;
-        let (r0, r1) = (y0 * w * c, y1 * w * c);
-        if simd {
+    // The x taps do not depend on the row: one stack table per block of
+    // TAPS output columns (a single block up to side 256), byte offsets
+    // premultiplied by the channel count, shared by every row and channel.
+    const TAPS: usize = 256;
+    let (mut x0c, mut x1c, mut wx) = ([0usize; TAPS], [0usize; TAPS], [0f32; TAPS]);
+    for xb in (0..side).step_by(TAPS) {
+        let cols = TAPS.min(side - xb);
+        for j in 0..cols {
+            let (x0, x1, wxj) = bilinear_tap(xb + j, sx, w - 1);
+            (x0c[j], x1c[j], wx[j]) = (x0 * c, x1 * c, wxj);
+        }
+        bk.par_chunks_mut(t.as_mut_slice(), side, |i, row| {
+            let ch = i / side;
+            let (m, s) = if rgb {
+                (IMAGENET_MEAN[ch], IMAGENET_STD[ch])
+            } else {
+                (0.0, 1.0)
+            };
+            let (y0, y1, wy) = bilinear_tap(i % side, sy, h - 1);
+            let (r0, r1) = (&bytes[y0 * w * c + ch..], &bytes[y1 * w * c + ch..]);
             // Strip-at-a-time: gather the strided bilinear taps into
             // stack buffers, then lerp + normalize the whole strip in the
-            // SIMD kernel. Tap addressing and per-element arithmetic are
-            // identical to the scalar loop below, so output bits match.
+            // SIMD kernel (its scalar tail at `Level::Scalar`).
             const STRIP: usize = 64;
             let (mut p00, mut p10) = ([0f32; STRIP], [0f32; STRIP]);
             let (mut p01, mut p11) = ([0f32; STRIP], [0f32; STRIP]);
-            let mut wxs = [0f32; STRIP];
-            let mut x0s = 0;
-            while x0s < side {
-                let len = STRIP.min(side - x0s);
-                for j in 0..len {
-                    let x = x0s + j;
-                    let fx = ((x as f32 + 0.5) * sx - 0.5).clamp(0.0, max_x as f32);
-                    let x0 = fx.floor() as usize;
-                    let x1 = (x0 + 1).min(max_x);
-                    wxs[j] = fx - x0 as f32;
-                    p00[j] = f32::from(bytes[r0 + x0 * c + ch]);
-                    p10[j] = f32::from(bytes[r0 + x1 * c + ch]);
-                    p01[j] = f32::from(bytes[r1 + x0 * c + ch]);
-                    p11[j] = f32::from(bytes[r1 + x1 * c + ch]);
+            for s0 in (0..cols).step_by(STRIP) {
+                let len = STRIP.min(cols - s0);
+                let taps = x0c[s0..s0 + len].iter().zip(&x1c[s0..s0 + len]);
+                let top = p00.iter_mut().zip(&mut p10);
+                let bot = p01.iter_mut().zip(&mut p11);
+                for (((&a, &b), (t0, t1)), (b0, b1)) in taps.zip(top).zip(bot) {
+                    *t0 = f32::from(r0[a]);
+                    *t1 = f32::from(r0[b]);
+                    *b0 = f32::from(r1[a]);
+                    *b1 = f32::from(r1[b]);
                 }
                 vserve_simd::kernels::resize_norm_row(
                     &p00[..len],
                     &p10[..len],
                     &p01[..len],
                     &p11[..len],
-                    &wxs[..len],
+                    &wx[s0..s0 + len],
                     wy,
                     m,
                     s,
-                    &mut row[x0s..x0s + len],
+                    &mut row[xb + s0..xb + s0 + len],
                 );
-                x0s += len;
             }
-            return;
-        }
-        for (x, out) in row.iter_mut().enumerate() {
-            let fx = ((x as f32 + 0.5) * sx - 0.5).clamp(0.0, max_x as f32);
-            let x0 = fx.floor() as usize;
-            let x1 = (x0 + 1).min(max_x);
-            let wx = fx - x0 as f32;
-            let p00 = f32::from(bytes[r0 + x0 * c + ch]);
-            let p10 = f32::from(bytes[r0 + x1 * c + ch]);
-            let p01 = f32::from(bytes[r1 + x0 * c + ch]);
-            let p11 = f32::from(bytes[r1 + x1 * c + ch]);
-            let top = p00 * (1.0 - wx) + p10 * wx;
-            let bot = p01 * (1.0 - wx) + p11 * wx;
-            let v = (top * (1.0 - wy) + bot * wy) / 255.0;
-            *out = (v - m) / s;
-        }
-    });
+        });
+    }
     t
 }
 
@@ -629,6 +619,25 @@ mod tests {
             let t = to_tensor(&Image::noise(w, h, seed));
             for &v in t.as_slice() {
                 prop_assert!((0.0..=1.0).contains(&v));
+            }
+        }
+    }
+
+    #[test]
+    fn bilinear_tap_matches_the_per_element_floor_expression() {
+        // The expression the resize loops evaluated per output element
+        // before the taps were hoisted, `floor` call included.
+        for src in 1..=300usize {
+            for side in 1..=300usize {
+                let s = src as f32 / side as f32;
+                let max = src - 1;
+                for i in 0..side {
+                    let f = ((i as f32 + 0.5) * s - 0.5).clamp(0.0, max as f32);
+                    let i0 = f.floor() as usize;
+                    let want = (i0, (i0 + 1).min(max), (f - i0 as f32).to_bits());
+                    let (g0, g1, gw) = bilinear_tap(i, s, max);
+                    assert_eq!((g0, g1, gw.to_bits()), want, "src {src} side {side} i {i}");
+                }
             }
         }
     }
