@@ -198,7 +198,7 @@ impl CpuModel {
     }
 
     /// Cost of serving a preprocessed tensor from the content-addressed
-    /// cache: an FNV content hash over the payload plus the map lookup,
+    /// cache: a content hash over the whole payload plus the map lookup,
     /// seconds. Calibrated against the live server's measured hit path
     /// (~1 byte/cycle hashing plus fixed bookkeeping).
     pub fn cache_hit_time(&self, img: &ImageSpec) -> f64 {

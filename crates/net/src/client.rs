@@ -271,9 +271,11 @@ impl NetClient {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline_us = deadline_us(deadline);
         let t0 = Instant::now();
-        let mut frame = Vec::with_capacity(jpeg.len() + 64);
-        wire::encode_request(
-            &mut frame,
+        // Only the header is built; the payload goes out from the
+        // caller's slice.
+        let mut header = Vec::with_capacity(64);
+        let jpeg = wire::encode_request_header(
+            &mut header,
             &RequestFrame {
                 id,
                 side: self.opts.side,
@@ -314,7 +316,7 @@ impl NetClient {
             let sent = Instant::now();
             let write = {
                 let mut w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
-                w.write_all(&frame)
+                wire::write_frame_parts(&mut *w, &header, jpeg)
             };
             if let Err(e) = write {
                 // Undo the registration; the reader may also be failing

@@ -35,12 +35,14 @@
 //! backpressure instead of growing server memory.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vserve_server::live::{LiveError, LiveResult, LiveServer, ReplyReceiver, Request};
+use vserve_server::live::{
+    LiveError, LiveResult, LiveServer, Payload, ReplyReceiver, Request, Target,
+};
 use vserve_server::stages;
 use vserve_trace::TraceHandle;
 
@@ -136,6 +138,11 @@ impl Conn {
         })
     }
 
+    /// Heap the request-side buffer holds right now, for the gauge.
+    pub fn read_capacity(&self) -> usize {
+        self.asm.capacity()
+    }
+
     fn out_len(&self) -> usize {
         self.out.len() - self.out_pos
     }
@@ -168,27 +175,22 @@ impl Conn {
         if self.read_closed {
             return Verdict::Keep;
         }
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             // Admit buffered frames first so the pause check below sees
-            // the true in-flight count.
+            // the true in-flight count. A bad length prefix completed by
+            // the last read surfaces here too.
             self.admit_frames(ctx);
             if self.read_closed || self.read_paused(ctx) {
                 return Verdict::Keep;
             }
-            match self.stream.read(&mut chunk) {
+            match self.asm.read_from(&mut self.stream) {
                 Ok(0) => {
                     // Half-close: the peer is done sending. Finish what
                     // is in flight and reply-flush before closing.
                     self.begin_drain();
                     return Verdict::Keep;
                 }
-                Ok(n) => {
-                    if let Err(WireError(reason)) = self.asm.extend(&chunk[..n]) {
-                        self.reject_bad_frame(ctx, reason);
-                        return Verdict::Keep;
-                    }
-                }
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Verdict::Keep,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return Verdict::Close,
@@ -200,14 +202,8 @@ impl Conn {
     /// admits them.
     fn admit_frames(&mut self, ctx: &Ctx<'_>) {
         while !self.read_closed && !self.read_paused(ctx) {
-            match self.asm.next_frame() {
-                Ok(Some((body, transfer))) => {
-                    // `process_frame` needs `&mut self` while `body`
-                    // borrows `self.asm`, so the body is copied out — one
-                    // copy per request.
-                    let body = body.to_vec();
-                    self.process_frame(&body, transfer, ctx);
-                }
+            match self.asm.next_frame_owned() {
+                Ok(Some((body, transfer))) => self.process_frame(body, transfer, ctx),
                 Ok(None) => break,
                 Err(WireError(reason)) => {
                     self.reject_bad_frame(ctx, reason);
@@ -247,10 +243,10 @@ impl Conn {
     }
 
     /// Decodes and dispatches one complete frame body.
-    fn process_frame(&mut self, body: &[u8], transfer: Duration, ctx: &Ctx<'_>) {
+    fn process_frame(&mut self, body: Vec<u8>, transfer: Duration, ctx: &Ctx<'_>) {
         let t0 = Instant::now();
-        if wire::is_metrics_request(body) {
-            match wire::decode_metrics_request(body) {
+        if wire::is_metrics_request(&body) {
+            match wire::decode_metrics_request(&body) {
                 Ok(m) => {
                     ctx.shared.lock_metrics().frames += 1;
                     let doc = render_exposition(ctx.shared, ctx.live);
@@ -260,7 +256,7 @@ impl Conn {
             }
             return;
         }
-        let req = match wire::decode_request(body) {
+        let req = match wire::decode_request(&body) {
             Ok(r) => r,
             Err(WireError(reason)) => {
                 self.reject_bad_frame(ctx, reason);
@@ -268,8 +264,11 @@ impl Conn {
             }
         };
         let id = req.id;
-        let target = match crate::server::route(&req, ctx.shared, ctx.live) {
-            Ok(target) => target,
+        // A pipeline is named by bytes of the body, which is about to
+        // move into the request: own the name.
+        let (lane, pipeline) = match crate::server::route(&req, ctx.shared, ctx.live) {
+            Ok(Target::Lane(lane)) => (lane, None),
+            Ok(Target::Pipeline(name)) => (0, Some(name.to_owned())),
             Err((status, msg)) => {
                 let close = status == Status::BadFrame;
                 self.push_ready(id, status, &msg);
@@ -279,12 +278,18 @@ impl Conn {
                 return;
             }
         };
+        let target = pipeline
+            .as_deref()
+            .map_or(Target::Lane(lane), Target::Pipeline);
         let deadline = req.deadline();
-        let jpeg = req.jpeg.to_vec();
+        // The JPEG is the body's last field (`decode_request` rejects
+        // trailing bytes): the request takes the body, not a copy.
+        let jpeg_at = body.len() - req.jpeg.len();
+        let nbytes = body.len() as u64;
+        let jpeg = Payload::tail_of(body, jpeg_at);
         let deserialize = t0.elapsed();
         ctx.shared.lock_metrics().frames += 1;
         let trace_id = ((self.conn_id + 1) << 48) | (id & TRACE_WIRE_ID_MASK);
-        let nbytes = body.len() as u64;
         ctx.tr.span(
             trace_id,
             stages::NET_TRANSFER,
@@ -374,6 +379,9 @@ impl Conn {
                 _ => break,
             }
         }
+        // Slots freed above may lift the in-flight pause, and frames the
+        // assembler already holds have no readiness event coming.
+        self.admit_frames(ctx);
         self.out_hwm = self.out_hwm.max(self.out_len());
         // Greedy write of whatever is buffered.
         while self.out_len() > 0 {

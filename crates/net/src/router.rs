@@ -14,10 +14,10 @@
 //!   the fewest router-observed in-flight requests (ties broken
 //!   round-robin). In-flight counts decrement when the reply is waited
 //!   on *or* dropped, so abandoned requests cannot pin a shard "busy".
-//! * [`ShardPolicy::ConsistentHash`] — the request key (an FNV-1a hash
-//!   of the payload) picks the shard, so identical payloads always land
-//!   on the same shard and its preproc cache — the cache-affinity
-//!   deployment.
+//! * [`ShardPolicy::ConsistentHash`] — the request key (the cache's
+//!   [`content_hash`] of the whole payload) picks the shard, so identical
+//!   payloads always land on the same shard and its preproc cache — the
+//!   cache-affinity deployment.
 //!
 //! Every shard runs the full [`NetServer`] stack around a clone of the
 //! same [`Model`], so outputs are bit-identical regardless of which
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vserve_dnn::Model;
-use vserve_server::cache::fnv1a;
+use vserve_server::cache::content_hash;
 
 use crate::client::{ClientOptions, NetClient, NetError, NetResult, PendingReply};
 use crate::server::{NetMetrics, NetOptions, NetServer};
@@ -46,8 +46,8 @@ use crate::{env_usize, DEFAULT_SHARDS, NET_SHARDS_ENV};
 pub enum ShardPolicy {
     /// Fewest router-observed in-flight requests wins (ties round-robin).
     LeastLoaded,
-    /// FNV-1a over the payload bytes picks the shard: identical payloads
-    /// share a shard (and its preproc cache).
+    /// The cache's `content_hash` of the payload bytes picks the shard:
+    /// identical payloads share a shard (and its preproc cache).
     ConsistentHash,
 }
 
@@ -226,7 +226,7 @@ impl RouterClient {
     /// Picks the shard for `jpeg` under the configured policy.
     fn pick(&self, jpeg: &[u8]) -> usize {
         match self.policy {
-            ShardPolicy::ConsistentHash => (fnv1a(jpeg) % self.shards.len() as u64) as usize,
+            ShardPolicy::ConsistentHash => (content_hash(jpeg) % self.shards.len() as u64) as usize,
             ShardPolicy::LeastLoaded => {
                 // Argmin over in-flight counts; the rotating start index
                 // breaks ties fairly instead of piling onto shard 0.
@@ -376,6 +376,35 @@ mod tests {
             .map(|i| client.pick(&spec(100 + i)))
             .any(|s| s != shard);
         assert!(other, "hash routing degenerated to one shard");
+    }
+
+    /// `% shards` reads the hash's low bits: a finalizer that left them
+    /// weak would crowd some shards exactly here.
+    #[test]
+    fn consistent_hash_spreads_payloads_evenly() {
+        let router = tiny_router(4, ShardPolicy::ConsistentHash);
+        let client = router.client(ClientOptions::default()).unwrap();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        const PAYLOADS: usize = 2_000;
+        let mut per_shard = [0usize; 4];
+        for _ in 0..PAYLOADS {
+            let len = 1024 + (next() % 3073) as usize;
+            let payload: Vec<u8> = (0..len).map(|_| (next() >> 32) as u8).collect();
+            per_shard[client.pick(&payload)] += 1;
+        }
+        let uniform = PAYLOADS / per_shard.len();
+        for (shard, &n) in per_shard.iter().enumerate() {
+            assert!(
+                n.abs_diff(uniform) * 100 <= uniform * 15,
+                "shard {shard} got {n} of {PAYLOADS}: {per_shard:?}"
+            );
+        }
     }
 
     #[test]

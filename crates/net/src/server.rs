@@ -144,6 +144,10 @@ pub struct NetMetrics {
     /// Largest unflushed reply buffer any connection has held, in bytes
     /// — the observable face of the write-side flow control.
     pub write_buffer_hwm_bytes: u64,
+    /// Largest request-side buffer any open connection holds right now
+    /// (capacity, not fill): what a connection that went idle after a big
+    /// frame still costs.
+    pub read_buffer_capacity_bytes: u64,
     /// Network-layer stage times: one
     /// [`stages::NET_TRANSFER`]/[`stages::DESERIALIZE`] observation per
     /// *completed* request, so per-stage counts line up with the live
@@ -192,6 +196,8 @@ pub(crate) struct NetShared {
     draining: AtomicU64,
     /// Lifetime write-buffer high-water mark in bytes (gauge).
     write_hwm: AtomicU64,
+    /// Largest read-buffer capacity among open connections (gauge).
+    read_cap: AtomicU64,
     /// Knob reconfigurations applied by the tuner; shared with the
     /// controller thread, stays 0 when tuning is off. Scrapes read it
     /// regardless so dashboards keep a stable schema.
@@ -295,6 +301,7 @@ impl NetServer {
             drain_req: AtomicU64::new(0),
             draining: AtomicU64::new(0),
             write_hwm: AtomicU64::new(0),
+            read_cap: AtomicU64::new(0),
             tune_decisions,
         });
         let max_inflight = opts.max_inflight_per_conn.max(1);
@@ -344,6 +351,7 @@ impl NetServer {
             bad_frames: m.bad_frames,
             draining: self.shared.draining.load(Ordering::Relaxed) as usize,
             write_buffer_hwm_bytes: self.shared.write_hwm.load(Ordering::Relaxed),
+            read_buffer_capacity_bytes: self.shared.read_cap.load(Ordering::Relaxed),
             net_breakdown: m.breakdown.clone(),
             live: self.live.metrics(),
         }
@@ -425,6 +433,15 @@ pub(crate) fn render_exposition(shared: &NetShared, live: &LiveServer) -> String
     .gauge(
         "vserve_write_buffer_hwm_bytes",
         shared.write_hwm.load(Ordering::Relaxed) as f64,
+    );
+    e.header(
+        "vserve_read_buffer_capacity_bytes",
+        "gauge",
+        "Largest request buffer any open connection holds, filled or not.",
+    )
+    .gauge(
+        "vserve_read_buffer_capacity_bytes",
+        shared.read_cap.load(Ordering::Relaxed) as f64,
     );
     e.header(
         "vserve_frames_total",
@@ -910,8 +927,7 @@ fn event_loop(
 
         // Flush + re-derive interest for every connection whose state
         // moved this tick.
-        let idxs: Vec<usize> = touched.iter().copied().collect();
-        for idx in idxs {
+        for &idx in &touched {
             let Some(Some(c)) = conns.get_mut(idx) else {
                 continue;
             };
@@ -936,14 +952,16 @@ fn event_loop(
             }
         }
 
-        // Publish the draining gauge from actual state (cheap: one pass
-        // over the slab, which is bounded by the connection cap).
-        let draining = conns
-            .iter()
-            .flatten()
-            .filter(|c| c.state == ConnState::Draining)
-            .count();
-        shared.draining.store(draining as u64, Ordering::Relaxed);
+        // Publish the draining and read-buffer gauges from actual state
+        // (cheap: one pass over the slab, which is bounded by the
+        // connection cap).
+        let (mut draining, mut read_cap) = (0u64, 0usize);
+        for c in conns.iter().flatten() {
+            draining += u64::from(c.state == ConnState::Draining);
+            read_cap = read_cap.max(c.read_capacity());
+        }
+        shared.draining.store(draining, Ordering::Relaxed);
+        shared.read_cap.store(read_cap as u64, Ordering::Relaxed);
 
         // Capacity freed while gated: resume accepting.
         if !accepting && drain_deadline.is_none() && open < shared.max_conns {

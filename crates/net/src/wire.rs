@@ -279,9 +279,10 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Patches the length prefix reserved at `start` once the body is done.
-fn finish_frame(buf: &mut Vec<u8>, start: usize) {
-    let body = (buf.len() - start - HEADER_LEN) as u32;
+/// Patches the length prefix reserved at `start` once the body is done,
+/// bar `to_come` bytes of it that the caller appends or sends itself.
+fn finish_frame(buf: &mut Vec<u8>, start: usize, to_come: usize) {
+    let body = (buf.len() - start - HEADER_LEN + to_come) as u32;
     buf[start..start + HEADER_LEN].copy_from_slice(&body.to_le_bytes());
 }
 
@@ -295,15 +296,20 @@ fn clip_name(mut name: &str) -> &str {
     name
 }
 
-/// Appends a complete request frame (length prefix included) to `buf`.
+/// Appends a request frame **without its payload bytes** to `buf`: the
+/// length prefix (already counting the payload), every field, and the
+/// payload length. Returns the payload the frame announces — `f.jpeg`
+/// clipped to [`MAX_PAYLOAD_LEN`] — which must follow on the wire; a
+/// sender that already holds those bytes writes the two pieces and never
+/// builds the frame in one buffer.
 ///
 /// Version gate: a frame with an empty tenant encodes as `VRQ1` —
 /// byte-identical to the v1 protocol — and only a non-empty tenant
 /// upgrades the frame to `VRQ2`. Model and tenant names are truncated to
-/// 255 bytes (on UTF-8 boundaries) and the payload to
-/// [`MAX_PAYLOAD_LEN`]; callers that cannot tolerate a clipped payload
-/// check its length first, as [`NetClient`](crate::NetClient) does.
-pub fn encode_request(buf: &mut Vec<u8>, f: &RequestFrame<'_>) {
+/// 255 bytes (on UTF-8 boundaries); callers that cannot tolerate a
+/// clipped payload check its length first, as
+/// [`NetClient`](crate::NetClient) does.
+pub fn encode_request_header<'a>(buf: &mut Vec<u8>, f: &RequestFrame<'a>) -> &'a [u8] {
     let start = buf.len();
     put_u32(buf, 0); // length back-patched below
     let v2 = !f.tenant.is_empty();
@@ -325,8 +331,15 @@ pub fn encode_request(buf: &mut Vec<u8>, f: &RequestFrame<'_>) {
     }
     let jpeg = &f.jpeg[..f.jpeg.len().min(MAX_PAYLOAD_LEN)];
     put_u32(buf, jpeg.len() as u32);
+    finish_frame(buf, start, jpeg.len());
+    jpeg
+}
+
+/// Appends a complete request frame (length prefix included) to `buf`:
+/// [`encode_request_header`], then the payload it returns.
+pub fn encode_request(buf: &mut Vec<u8>, f: &RequestFrame<'_>) {
+    let jpeg = encode_request_header(buf, f);
     buf.extend_from_slice(jpeg);
-    finish_frame(buf, start);
 }
 
 /// Appends a complete response frame (length prefix included) to `buf`.
@@ -353,7 +366,7 @@ pub fn encode_response(buf: &mut Vec<u8>, f: &ResponseFrame<'_>) {
     let out = &f.output[..f.output.len().min(MAX_PAYLOAD_LEN)];
     put_u32(buf, (out.len() / 4) as u32);
     buf.extend_from_slice(&out[..(out.len() / 4) * 4]);
-    finish_frame(buf, start);
+    finish_frame(buf, start, 0);
 }
 
 /// Encodes `output` f32s as the little-endian bytes the response layout
@@ -534,7 +547,7 @@ pub fn encode_metrics_request(buf: &mut Vec<u8>, f: &MetricsRequest) {
     buf.extend_from_slice(&METRICS_MAGIC);
     put_u64(buf, f.id);
     buf.push(f.flags);
-    finish_frame(buf, start);
+    finish_frame(buf, start, 0);
 }
 
 /// Whether a frame body opens with the metrics magic. The server checks
@@ -610,34 +623,88 @@ pub fn read_frame_into<R: std::io::Read>(
     Ok(Some(start.elapsed()))
 }
 
+/// Writes a frame held as two pieces — what [`encode_request_header`]
+/// built and the payload it returned — as one gathered write, so a frame
+/// is one syscall without first being one buffer. (`write_all_vectored`
+/// is unstable; this is its two-slice case.)
+pub(crate) fn write_frame_parts(
+    w: &mut impl std::io::Write,
+    mut header: &[u8],
+    mut payload: &[u8],
+) -> std::io::Result<()> {
+    while !header.is_empty() {
+        match w.write_vectored(&[
+            std::io::IoSlice::new(header),
+            std::io::IoSlice::new(payload),
+        ]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let of_header = n.min(header.len());
+                header = &header[of_header..];
+                payload = &payload[n - of_header..];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(payload)
+}
+
+/// Bytes one read asks for at a frame boundary. A frame longer than this
+/// gets a buffer to itself.
+const READ_GRANULE: usize = 16 * 1024;
+
+/// Inside a long frame the allocation may grow to this many times the
+/// bytes that have arrived (never past the frame's end): three allocator
+/// calls take a buffer from the granule to 4 MiB, and a peer still has to
+/// send 1/16 of what it makes the server reserve.
+const RESERVE_AHEAD: usize = 16;
+
+/// Capacity an assembler keeps between frames; a buffer that outgrew it
+/// is released (or leaves with its frame) instead of being reused.
+const RETAINED_CAP: usize = 64 * 1024;
+
 /// Resumable incremental frame assembly for nonblocking streams.
 ///
-/// The server's event loop reads whatever bytes the kernel has —
-/// possibly a partial header, possibly several frames fused — and feeds
-/// them here.
+/// The server's event loop lets the assembler read whatever bytes the
+/// kernel has — possibly a partial header, possibly several frames fused
+/// — straight into its own buffer ([`read_from`](Self::read_from)); bytes
+/// that were read elsewhere are fed with [`extend`](Self::extend).
 /// The assembler buffers across reads, validates each length prefix via
 /// [`check_frame_len`] the moment its four bytes are available (a hostile
 /// prefix poisons the stream *before* any body byte is buffered), and
-/// yields complete bodies in order via [`next_frame`](Self::next_frame).
+/// yields complete bodies in order: borrowed via
+/// [`next_frame`](Self::next_frame) or owned via
+/// [`next_frame_owned`](Self::next_frame_owned).
 ///
 /// Memory stays proportional to bytes actually received: the body
-/// allocation grows with arrival, never pre-reserved from the claimed
-/// length, so a slow-loris peer announcing a 32 MiB frame and sending one
-/// byte holds one byte of buffer, not 32 MiB.
+/// allocation grows with arrival (touched memory at most doubles per
+/// read, reserved memory stays within 16 times what arrived), never
+/// pre-reserved from the claimed length, so a slow-loris peer announcing
+/// a 32 MiB frame and sending one byte holds one read's worth of buffer,
+/// not 32 MiB. Nor does a big
+/// frame leave its capacity behind: once yielded, at most
+/// `RETAINED_CAP` (64 KiB) stays with the connection
+/// ([`capacity`](Self::capacity)).
 ///
 /// The per-frame `transfer` duration mirrors [`read_frame_into`]: time
 /// from the header completing to the body completing — the measured
 /// data-transfer leg that feeds the `0-net-transfer` span.
 ///
 /// Errors are sticky: after any [`WireError`] the stream cannot be
-/// re-synchronized and every later call fails.
+/// re-synchronized and every later call fails with it.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
+    /// `buf[start..end]` is received and not yet yielded; `buf[end..]` is
+    /// zeroed room the next read fills, kept so it is zeroed once.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
+    /// Body length of the frame in progress. Its prefix is validated and
+    /// consumed: `start` is the body's first byte.
     body_len: Option<usize>,
     header_at: Option<Instant>,
-    poisoned: bool,
+    poison: Option<WireError>,
 }
 
 impl FrameAssembler {
@@ -649,13 +716,19 @@ impl FrameAssembler {
     /// Bytes buffered and not yet yielded as frames (partial header +
     /// partial body). Feeds the write-buffer/read-buffer gauges.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.body_len.map_or(0, |_| HEADER_LEN) + self.end - self.start
+    }
+
+    /// Bytes of heap the assembler holds, filled or not — what an idle
+    /// connection costs.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Whether the stream is mid-frame: a clean EOF here means the peer
     /// died inside a frame rather than between frames.
     pub fn mid_frame(&self) -> bool {
-        self.body_len.is_some() || self.buffered() > 0
+        self.body_len.is_some() || self.end > self.start
     }
 
     /// Appends freshly read bytes.
@@ -666,53 +739,143 @@ impl FrameAssembler {
     /// poisoned, or poisons it now when these bytes complete an invalid
     /// length prefix.
     pub fn extend(&mut self, chunk: &[u8]) -> Result<(), WireError> {
-        if self.poisoned {
-            return Err(WireError("frame stream poisoned by earlier error"));
+        if let Some(e) = self.poison {
+            return Err(e);
         }
-        // Compact the consumed prefix before growing: the retained tail
-        // is at most one partial frame.
-        if self.start > 0 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+        self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(chunk);
+        self.end = self.buf.len();
         self.validate_header()
+    }
+
+    /// Reads once from `r` into the assembler's own buffer and returns
+    /// what `r.read` returned (`Ok(0)` is end of stream; `WouldBlock` and
+    /// `Interrupted` pass through with nothing buffered).
+    ///
+    /// At a frame boundary, and inside frames no longer than the 16 KiB
+    /// read granule, one read takes up to a granule — many small frames
+    /// per syscall. Inside a longer frame the read stops at the frame's
+    /// end, so the body completes alone in its buffer and
+    /// [`next_frame_owned`](Self::next_frame_owned) hands that buffer
+    /// out; each such read asks for at most as much as has already
+    /// arrived (at least a granule), and the allocation stays within 16
+    /// times that, so the buffer grows toward the claimed length only as
+    /// fast as the peer delivers it.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors of `r`. A read that completes an invalid length
+    /// prefix poisons the stream and still returns `Ok`: the
+    /// [`WireError`] is what the next `next_frame*` call returns, and
+    /// later reads are refused with `InvalidData` before touching `r`.
+    pub fn read_from<R: std::io::Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
+        if let Some(e) = self.poison {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
+        }
+        self.compact();
+        // `want` bytes are read (and zeroed first); `reserve` is how far
+        // the allocation may run ahead of them.
+        let (want, reserve) = match self.body_len {
+            Some(len) if len > READ_GRANULE && self.end < len => (
+                (len - self.end).min(self.end.max(READ_GRANULE)),
+                len.min(self.end * RESERVE_AHEAD),
+            ),
+            _ => (READ_GRANULE, 0),
+        };
+        let room = self.end + want;
+        if self.buf.len() < room {
+            if self.buf.capacity() < room {
+                self.buf.reserve_exact(reserve.max(room) - self.buf.len());
+            }
+            self.buf.resize(room, 0);
+        }
+        let n = r.read(&mut self.buf[self.end..room])?;
+        self.end += n;
+        let _ = self.validate_header(); // kept in `poison` for `next_frame*`
+        Ok(n)
     }
 
     /// Yields the next complete frame body, or `Ok(None)` when the buffer
     /// holds less than one frame. The returned slice borrows the internal
     /// buffer: decode (and copy out what outlives the borrow) before the
-    /// next [`extend`](Self::extend).
+    /// next call.
     ///
     /// # Errors
     ///
     /// Returns the sticky [`WireError`] on a poisoned stream or when the
     /// next length prefix is invalid.
     pub fn next_frame(&mut self) -> Result<Option<(&[u8], Duration)>, WireError> {
-        self.validate_header()?;
-        let len = match self.body_len {
-            Some(len) => len,
-            None => return Ok(None),
-        };
-        if self.buffered() < HEADER_LEN + len {
+        let Some((len, transfer)) = self.complete_frame()? else {
             return Ok(None);
+        };
+        let body = self.start..self.start + len;
+        self.start = body.end;
+        Ok(Some((&self.buf[body], transfer)))
+    }
+
+    /// [`next_frame`](Self::next_frame) with an owned body. A frame
+    /// longer than the read granule that is alone in the buffer — which
+    /// is how [`read_from`](Self::read_from) completes one — leaves
+    /// *as* the buffer, uncopied; any other frame is copied out once.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_frame`](Self::next_frame).
+    pub fn next_frame_owned(&mut self) -> Result<Option<(Vec<u8>, Duration)>, WireError> {
+        let Some((len, transfer)) = self.complete_frame()? else {
+            return Ok(None);
+        };
+        let body = if len > READ_GRANULE && self.start == 0 && self.end == len {
+            self.buf.truncate(len);
+            self.end = 0;
+            std::mem::take(&mut self.buf)
+        } else {
+            let body = self.buf[self.start..self.start + len].to_vec();
+            self.start += len;
+            body
+        };
+        Ok(Some((body, transfer)))
+    }
+
+    /// Claims the frame in progress once its whole body is buffered:
+    /// its length (the body starts at `start`) and transfer time.
+    fn complete_frame(&mut self) -> Result<Option<(usize, Duration)>, WireError> {
+        if self.start == self.end {
+            self.compact(); // nothing unread: a big buffer goes now
         }
-        let body_start = self.start + HEADER_LEN;
-        self.start = body_start + len;
-        self.body_len = None;
-        let transfer = self
-            .header_at
-            .take()
-            .map(|t| t.elapsed())
-            .unwrap_or_default();
-        Ok(Some((&self.buf[body_start..body_start + len], transfer)))
+        self.validate_header()?;
+        match self.body_len {
+            Some(len) if self.end - self.start >= len => {
+                self.body_len = None;
+                let transfer = self.header_at.take().map(|t| t.elapsed());
+                Ok(Some((len, transfer.unwrap_or_default())))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Moves the unread bytes to the front of the buffer — or, when the
+    /// buffer outgrew `RETAINED_CAP`, to a fresh one just their size.
+    fn compact(&mut self) {
+        if self.start == 0 {
+            return;
+        }
+        let unread = self.start..self.end;
+        if self.buf.capacity() > RETAINED_CAP {
+            self.buf = self.buf[unread].to_vec();
+        } else {
+            self.buf.copy_within(unread, 0);
+        }
+        self.end -= self.start;
+        self.start = 0;
     }
 
     fn validate_header(&mut self) -> Result<(), WireError> {
-        if self.poisoned {
-            return Err(WireError("frame stream poisoned by earlier error"));
+        if let Some(e) = self.poison {
+            return Err(e);
         }
-        if self.body_len.is_none() && self.buffered() >= HEADER_LEN {
+        if self.body_len.is_none() && self.end - self.start >= HEADER_LEN {
             let s = self.start;
             let header = [
                 self.buf[s],
@@ -723,10 +886,11 @@ impl FrameAssembler {
             match check_frame_len(header) {
                 Ok(len) => {
                     self.body_len = Some(len);
+                    self.start += HEADER_LEN;
                     self.header_at = Some(Instant::now());
                 }
                 Err(e) => {
-                    self.poisoned = true;
+                    self.poison = Some(e);
                     return Err(e);
                 }
             }
@@ -1350,5 +1514,323 @@ mod assembler_tests {
         asm.extend(&buf[6..]).unwrap();
         assert!(asm.next_frame().unwrap().is_some());
         assert!(!asm.mid_frame());
+    }
+}
+
+/// The assembler's own-buffer path: what it asks a reader for, what it
+/// keeps, and that it frames any stream exactly as `extend`/`next_frame`
+/// do. Kept below the older `proptest!` blocks, whose cases are drawn
+/// from their line numbers under the offline stub.
+#[cfg(test)]
+mod assembler_buffer_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::{ErrorKind, Read};
+
+    /// `[prefix][body]` with a body of `len` seeded bytes (not a valid
+    /// request: the assembler frames, it does not decode).
+    fn raw_frame(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut f = (len as u32).to_le_bytes().to_vec();
+        f.extend((0..len).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 16) as u8
+        }));
+        f
+    }
+
+    /// A nonblocking socket's manners: short reads of at most `max` bytes
+    /// and a `WouldBlock` every fifth call. Records what each call was
+    /// offered.
+    struct Choppy<'a> {
+        data: &'a [u8],
+        max: usize,
+        calls: u64,
+        offered: Vec<usize>,
+    }
+
+    impl<'a> Choppy<'a> {
+        fn new(data: &'a [u8], max: usize) -> Self {
+            Choppy {
+                data,
+                max,
+                calls: 0,
+                offered: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Choppy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 5 == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.offered.push(buf.len());
+            let short = 1 + (self.calls.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize;
+            let n = buf.len().min(self.data.len()).min(short.min(self.max));
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames `stream` through `read_from` + `next_frame_owned`: the
+    /// bodies in order, the framing error that ended it (if any), and
+    /// the assembler as it was left.
+    fn via_read_from(r: &mut Choppy<'_>) -> (Vec<Vec<u8>>, Option<WireError>, FrameAssembler) {
+        let mut asm = FrameAssembler::new();
+        let mut bodies = Vec::new();
+        loop {
+            loop {
+                match asm.next_frame_owned() {
+                    Ok(Some((body, _))) => bodies.push(body),
+                    Ok(None) => break,
+                    Err(e) => return (bodies, Some(e), asm),
+                }
+            }
+            match asm.read_from(r) {
+                Ok(0) => return (bodies, None, asm),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => panic!("reader does not fail like this: {e}"),
+            }
+        }
+    }
+
+    /// The same through the borrowed pair, fed in `chunk`-byte pieces.
+    fn via_extend(
+        stream: &[u8],
+        chunk: usize,
+    ) -> (Vec<Vec<u8>>, Option<WireError>, FrameAssembler) {
+        let mut asm = FrameAssembler::new();
+        let mut bodies = Vec::new();
+        for piece in stream.chunks(chunk) {
+            if let Err(e) = asm.extend(piece) {
+                return (bodies, Some(e), asm);
+            }
+            loop {
+                match asm.next_frame() {
+                    Ok(Some((body, _))) => bodies.push(body.to_vec()),
+                    Ok(None) => break,
+                    Err(e) => return (bodies, Some(e), asm),
+                }
+            }
+        }
+        (bodies, None, asm)
+    }
+
+    const BIG: usize = 4 << 20;
+
+    #[test]
+    fn a_yielded_big_frame_does_not_leave_its_capacity_behind() {
+        let stream = raw_frame(BIG, 3);
+        // Legacy pair: the buffer goes once nothing unread is left in it.
+        let (bodies, err, asm) = via_extend(&stream, 16 * 1024);
+        assert_eq!((bodies.len(), err), (1, None));
+        assert_eq!(bodies[0], &stream[HEADER_LEN..]);
+        assert!(
+            asm.capacity() <= RETAINED_CAP,
+            "extend/next_frame kept {} bytes after a {BIG}-byte frame",
+            asm.capacity()
+        );
+        // Own-buffer path: the buffer left as the body.
+        let (bodies, err, asm) = via_read_from(&mut Choppy::new(&stream, usize::MAX));
+        assert_eq!((bodies.len(), err), (1, None));
+        assert_eq!(bodies[0], &stream[HEADER_LEN..]);
+        assert!(asm.capacity() <= RETAINED_CAP, "kept {}", asm.capacity());
+        // With a small frame's worth unread behind it, too.
+        let mut fused = stream.clone();
+        fused.extend(raw_frame(40, 4));
+        fused.extend(&raw_frame(40, 5)[..20]);
+        let mut asm = FrameAssembler::new();
+        asm.extend(&fused).unwrap();
+        while asm.next_frame().unwrap().is_some() {}
+        asm.extend(&[]).unwrap();
+        assert_eq!(asm.buffered(), 20);
+        assert!(asm.capacity() <= RETAINED_CAP, "kept {}", asm.capacity());
+    }
+
+    #[test]
+    fn an_announced_length_reserves_nothing() {
+        // 64 such connections must not commit 64 x 32 MiB.
+        let header = (MAX_FRAME_LEN as u32).to_le_bytes();
+        let mut asm = FrameAssembler::new();
+        asm.extend(&header).unwrap();
+        assert!(asm.next_frame().unwrap().is_none());
+        assert!(asm.mid_frame());
+        assert!(asm.capacity() <= RETAINED_CAP, "held {}", asm.capacity());
+
+        let mut stream = header.to_vec();
+        stream.push(0xAB);
+        let (bodies, err, asm) = via_read_from(&mut Choppy::new(&stream, usize::MAX));
+        assert_eq!((bodies.len(), err), (0, None));
+        assert_eq!(asm.buffered(), 5);
+        assert!(asm.capacity() <= RETAINED_CAP, "held {}", asm.capacity());
+    }
+
+    #[test]
+    fn reads_inside_a_big_frame_stop_at_its_end_and_grow_with_arrival() {
+        // A 1 MiB frame with a small one fused behind it.
+        let mut stream = raw_frame(1 << 20, 9);
+        let big_end = stream.len();
+        stream.extend(raw_frame(100, 10));
+        let mut r = Choppy::new(&stream, usize::MAX);
+        let mut asm = FrameAssembler::new();
+        let mut arrived = 0;
+        let body = loop {
+            if let Some((body, _)) = asm.next_frame_owned().unwrap() {
+                break body;
+            }
+            match asm.read_from(&mut r) {
+                Ok(n) => arrived += n,
+                Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+            }
+            assert!(arrived <= big_end, "read past the frame in progress");
+        };
+        assert_eq!(arrived, big_end, "the frame completed alone");
+        assert_eq!(body, &stream[HEADER_LEN..big_end]);
+        // Never asked for more than had already arrived (one granule at
+        // least): the claimed length alone buys no memory.
+        let mut had = 0;
+        for (call, &offered) in r.offered.iter().enumerate() {
+            assert!(offered <= had.max(READ_GRANULE), "call {call}");
+            had += offered.min(big_end - had); // Choppy fills what it is offered
+        }
+        assert!(r.offered.len() < 12, "{} reads for 1 MiB", r.offered.len());
+        // The buffer left with the body; the small frame follows.
+        assert_eq!(asm.capacity(), 0);
+        let small = loop {
+            if let Some((body, _)) = asm.next_frame_owned().unwrap() {
+                break body;
+            }
+            if let Err(e) = asm.read_from(&mut r) {
+                assert_eq!(e.kind(), ErrorKind::WouldBlock);
+            }
+        };
+        assert_eq!(small, &stream[big_end + HEADER_LEN..]);
+    }
+
+    #[test]
+    fn a_bad_prefix_from_read_from_is_reported_once_and_for_all() {
+        let mut stream = raw_frame(20, 1);
+        stream.extend(u32::MAX.to_le_bytes());
+        stream.extend([7u8; 64]);
+        let mut r = Choppy::new(&stream, usize::MAX);
+        let mut asm = FrameAssembler::new();
+        assert_eq!(asm.read_from(&mut r).unwrap(), stream.len());
+        assert!(asm.next_frame_owned().unwrap().is_some());
+        let e = asm.next_frame_owned().unwrap_err();
+        assert_eq!(e, check_frame_len(u32::MAX.to_le_bytes()).unwrap_err());
+        assert_eq!(asm.next_frame().unwrap_err(), e, "sticky, same reason");
+        assert_eq!(asm.extend(b"more").unwrap_err(), e);
+        let offered = r.offered.len();
+        let refused = asm.read_from(&mut r).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::InvalidData);
+        assert_eq!(r.offered.len(), offered, "a poisoned stream reads nothing");
+    }
+
+    #[test]
+    fn request_header_plus_payload_is_the_request_frame() {
+        let jpeg: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        for tenant in ["", "lc"] {
+            let f = RequestFrame {
+                id: 9,
+                side: 64,
+                deadline_us: 5,
+                model: "m",
+                tenant,
+                jpeg: &jpeg,
+            };
+            let (mut whole, mut header) = (vec![0xEE], vec![0xEE]);
+            encode_request(&mut whole, &f);
+            let payload = encode_request_header(&mut header, &f);
+            assert_eq!(payload, &jpeg[..]);
+            header.extend_from_slice(payload);
+            assert_eq!(header, whole, "tenant {tenant:?}");
+            let (body, _) = split_frame(&whole[1..]).unwrap().expect("complete");
+            assert_eq!(decode_request(body).unwrap(), f);
+        }
+    }
+
+    #[test]
+    fn frame_parts_survive_partial_gathered_writes() {
+        /// Accepts `step` bytes per call, across the slice boundary.
+        struct Trickle(Vec<u8>, usize);
+        impl std::io::Write for Trickle {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[std::io::IoSlice::new(b)])
+            }
+            fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+                let all: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+                let n = all.len().min(self.1);
+                self.0.extend_from_slice(&all[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (header, payload) = (raw_frame(30, 1), raw_frame(500, 2));
+        for step in [1, 3, 34, 35, 100, 10_000] {
+            let mut w = Trickle(Vec::new(), step);
+            write_frame_parts(&mut w, &header, &payload).unwrap();
+            assert_eq!(w.0, [&header[..], &payload[..]].concat(), "step {step}");
+        }
+        let mut stuck = Trickle(Vec::new(), 0);
+        let err = write_frame_parts(&mut stuck, &header, &payload).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Mixed small and >= 1 MiB frames, optionally a hostile prefix
+        /// between two of them, cut into reads of every manner: the
+        /// own-buffer path yields the bodies, the order and the error
+        /// that `extend`/`next_frame` yield.
+        #[test]
+        fn read_from_frames_any_stream_as_extend_does(
+            kinds in proptest::collection::vec(0u8..4, 1..6),
+            seed in any::<u64>(),
+            max_read in prop_oneof![
+                Just(1usize),
+                Just(7usize),
+                Just(1000usize),
+                Just(16usize << 10),
+                Just(100_000usize),
+                Just(usize::MAX)
+            ],
+            hostile_after in 0usize..10,
+            chunk in prop_oneof![Just(1usize << 10), Just(16usize << 10), Just(usize::MAX)],
+        ) {
+            let mut stream = Vec::new();
+            for (i, kind) in kinds.iter().enumerate() {
+                let salt = seed.wrapping_add(i as u64);
+                let len = match kind {
+                    0 => (1 << 20) + (salt % 70_000) as usize,
+                    1 => READ_GRANULE - 2 + (salt % 5) as usize, // around the granule
+                    _ => MIN_BODY_LEN + (salt % 3_000) as usize,
+                };
+                stream.extend(raw_frame(len, salt));
+                if i == hostile_after {
+                    stream.extend((MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+                }
+            }
+            let (want, want_err, legacy) = via_extend(&stream, chunk);
+            let (got, got_err, owned) = via_read_from(&mut Choppy::new(&stream, max_read));
+            prop_assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(g == w, "frame {i} differs ({} vs {} bytes)", g.len(), w.len());
+            }
+            prop_assert_eq!(got_err, want_err);
+            prop_assert_eq!(want_err.is_some(), hostile_after < kinds.len());
+            if want_err.is_none() {
+                prop_assert_eq!((owned.buffered(), legacy.buffered()), (0, 0));
+                prop_assert!(owned.capacity() <= RETAINED_CAP);
+            }
+        }
     }
 }

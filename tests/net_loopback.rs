@@ -1115,3 +1115,136 @@ fn pipeline_frames_dispatch_cascades_over_the_wire() {
         "cascade stage rows must appear in the served breakdown: det {det_row} id {id_row}"
     );
 }
+
+/// A 3 MiB payload crosses client → wire → server as one buffer on
+/// either side: the output is bit-identical to the in-process server's,
+/// a second send of the same bytes hits the cache entry the first one
+/// made, and once it is served the connection holds no more than a read
+/// granule's worth of buffer — while a raw client dribbling its frame
+/// seven bytes at a time beside it is served too.
+#[test]
+fn large_payload_arrives_byte_exact_beside_a_dribbling_client() {
+    let large = synthetic_jpeg(&vserve_device::ImageSpec::new(4800, 3600, 0), 77);
+    assert!(large.len() >= 3 << 20, "only {} bytes", large.len());
+    let reference = LiveServer::start(model(), opts())
+        .infer(large.clone())
+        .expect("in-process infer")
+        .output;
+
+    let server = NetServer::bind(
+        model(),
+        NetOptions {
+            live: opts(),
+            ..NetOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+
+    let small = payload(31);
+    let mut frame = Vec::new();
+    vserve_net::wire::encode_request(
+        &mut frame,
+        &vserve_net::RequestFrame {
+            id: 5,
+            side: 0,
+            deadline_us: 0,
+            model: "",
+            tenant: "",
+            jpeg: &small,
+        },
+    );
+    let dribbler = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).expect("connect dribbler");
+        s.set_nodelay(true).ok();
+        s.set_read_timeout(Some(Duration::from_secs(30))).ok();
+        for piece in frame.chunks(7) {
+            s.write_all(piece).expect("dribble");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let mut body = Vec::new();
+        match vserve_net::wire::read_frame_into(&mut s, &mut body) {
+            Ok(Some(_)) => {}
+            other => panic!("dribbler got no reply: {other:?}"),
+        }
+        let resp = vserve_net::wire::decode_response(&body).expect("decode");
+        assert_eq!((resp.id, resp.status), (5, Status::Ok));
+    });
+
+    let client = NetClient::connect(
+        addr,
+        ClientOptions {
+            pool: 1,
+            ..ClientOptions::default()
+        },
+    )
+    .expect("connect");
+    for round in 0..3 {
+        let out = client.infer(&large).expect("large infer").output;
+        assert_eq!(out, reference, "round {round}: wire output diverged");
+    }
+    dribbler.join().expect("dribbler thread");
+
+    let m = server.metrics();
+    assert_eq!(m.bad_frames, 0);
+    assert_eq!(
+        (m.live.preproc_cache.misses, m.live.preproc_cache.hits),
+        (2, 2),
+        "the same bytes must key the same cache entry every time"
+    );
+    // The big frames left with their requests.
+    assert!(
+        m.read_buffer_capacity_bytes <= 64 * 1024,
+        "an idle connection holds {} bytes of read buffer",
+        m.read_buffer_capacity_bytes
+    );
+    let text = server.exposition();
+    assert_eq!(
+        gauge(&text, "vserve_read_buffer_capacity_bytes "),
+        m.read_buffer_capacity_bytes as f64
+    );
+}
+
+/// Frames that arrive fused in one read while the in-flight cap pauses
+/// admission sit in the assembler, not the socket: no readiness event
+/// will announce them, so the replies that free the cap must admit them.
+#[test]
+fn frames_buffered_behind_the_inflight_cap_are_admitted_when_it_lifts() {
+    let server = NetServer::bind(
+        model(),
+        NetOptions {
+            max_inflight_per_conn: 2,
+            live: opts(),
+            ..NetOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    const BURST: u64 = 8;
+    let mut bytes = Vec::new();
+    for id in 0..BURST {
+        vserve_net::wire::encode_request(
+            &mut bytes,
+            &vserve_net::RequestFrame {
+                id,
+                side: 0,
+                deadline_us: 0,
+                model: "",
+                tenant: "",
+                jpeg: &payload(300 + id),
+            },
+        );
+    }
+    assert!(bytes.len() < 16 * 1024, "the burst must fit one read");
+    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    s.write_all(&bytes).expect("burst write");
+    let mut body = Vec::new();
+    for id in 0..BURST {
+        match vserve_net::wire::read_frame_into(&mut s, &mut body) {
+            Ok(Some(_)) => {}
+            other => panic!("reply {id} never came: {other:?}"),
+        }
+        let resp = vserve_net::wire::decode_response(&body).expect("decode");
+        assert_eq!((resp.id, resp.status), (id, Status::Ok));
+    }
+}
