@@ -583,6 +583,9 @@ struct Job {
     reply: Reply,
 }
 
+/// A preprocessed request on its way to a batch, without its encoded
+/// payload: [`Ready::new`] hands that back to be freed after the push, so
+/// `queue` (ingress wait plus lane-queue wait) is waiting only.
 struct Ready {
     id: u64,
     /// Tenant lane index; routes the item to its lane's batch queue.
@@ -601,8 +604,14 @@ impl Ready {
     /// `job`'s tensor, preprocessed from `start` to `done`. A coalesced
     /// waiter passes `start == done`: it waited for the leader's decode
     /// (queueing) and preprocessed nothing itself.
-    fn new(job: Job, tensor: Arc<Tensor>, start: Instant, done: Instant) -> Ready {
-        Ready {
+    ///
+    /// The job's payload comes back beside the `Ready`, and the caller
+    /// drops it only after [`BatchQueue::push`]: freeing a large JPEG can
+    /// take a millisecond, and between `done` and the push it would be
+    /// charged to `queue` and hold back the batch. After the push it
+    /// overlaps the forward, outside every timed stage.
+    fn new(job: Job, tensor: Arc<Tensor>, start: Instant, done: Instant) -> (Ready, Payload) {
+        let ready = Ready {
             id: job.id,
             lane: job.lane,
             tensor,
@@ -612,7 +621,8 @@ impl Ready {
             preproc_done: done,
             deadline: job.deadline,
             reply: job.reply,
-        }
+        };
+        (ready, job.jpeg)
     }
 }
 
@@ -867,7 +877,10 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
             tr.span_tagged(tag, job.id, stages::QUEUE, job.submitted, start, 0, nbytes);
             tr.span_tagged(tag, job.id, stages::PREPROC, start, done, 0, nbytes);
             tr.event_tagged(tag, job.id, trace_events::CACHE_HIT, done, nbytes);
-            return env.queue.push(Ready::new(job, tensor, start, done));
+            let (ready, jpeg) = Ready::new(job, tensor, start, done);
+            env.queue.push(ready);
+            drop(jpeg);
+            return;
         }
         if env.coalesce {
             if let Ok(mut infl) = env.inflight.lock() {
@@ -919,13 +932,17 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
         Ok(tensor) => {
             tr.span_tagged(tag, job.id, stages::QUEUE, job.submitted, start, 0, nbytes);
             tr.span_tagged(tag, job.id, stages::PREPROC, start, done, 0, nbytes);
-            env.queue
-                .push(Ready::new(job, Arc::clone(&tensor), start, done));
+            let (ready, jpeg) = Ready::new(job, Arc::clone(&tensor), start, done);
+            env.queue.push(ready);
+            // Every waiter's queue runs from the same `done`: the payloads
+            // are freed once the last of them is pushed.
+            let mut spent = Vec::with_capacity(waiters.len());
             for w in waiters {
                 let wtag = LaneRt::tag(w.lane as usize);
                 if w.deadline.is_some_and(|d| done >= d) {
                     env.queue.withdraw(w.lane as usize);
                     shared.dequeued(done, 1, 1);
+                    spent.push(w.jpeg);
                     w.reply.send(Err(LiveError::DeadlineExceeded));
                     continue;
                 }
@@ -937,9 +954,11 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
                 // request).
                 tr.span_tagged(wtag, w.id, stages::QUEUE, w.submitted, done, 0, nbytes);
                 tr.span_tagged(wtag, w.id, stages::PREPROC, done, done, 0, 0);
-                env.queue
-                    .push(Ready::new(w, Arc::clone(&tensor), done, done));
+                let (ready, wjpeg) = Ready::new(w, Arc::clone(&tensor), done, done);
+                env.queue.push(ready);
+                spent.push(wjpeg);
             }
+            drop((jpeg, spent));
         }
         Err(e) => {
             env.queue.withdraw(job.lane as usize);
