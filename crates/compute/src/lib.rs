@@ -18,7 +18,7 @@
 //!   that take no arena; every other function takes `&mut Scratch`.
 //!
 //! The crate is intentionally `std`-only: the build environment for this
-//! workspace cannot assume a crates.io mirror, so no rayon/crossbeam here.
+//! workspace cannot assume a crates.io mirror, so no thread-pool crate here.
 //!
 //! # Examples
 //!

@@ -29,6 +29,12 @@
 //! Together: every admitted frame either joins or fails with a typed
 //! error, and the spawned-vs-retired sub-request counts reconcile exactly
 //! (pinned by the fan-out property test).
+//!
+//! The [`PipelineHandle`] keeps none of the server's workers alive. A
+//! runner that outlives its server (one not registered with it) sees
+//! every later sub-request, and any still waiting for ingress room when
+//! the server shut down, answered [`LiveError::Disconnected`], so its
+//! frames still fail exactly once rather than hang.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};

@@ -1,12 +1,14 @@
 //! A real, thread-based mini inference server.
 //!
 //! Where [`crate::Experiment`] *models* the paper's server with calibrated
-//! costs, this module *is* a server: a bounded ingress channel feeds real
+//! costs, this module *is* a server: a bounded ingress FIFO feeds real
 //! preprocessing workers (JPEG decode via `vserve-codec`, resize +
 //! normalize via `vserve-tensor`) that queue tensors on per-tenant lanes;
 //! each free inference worker takes a batch from them (bounded queueing
 //! delay) and runs it on a real `vserve-dnn` model — to validate the
 //! pipeline end-to-end and measure genuine per-stage times on the host.
+//! A request's whole way to its batch (admission, the FIFO, coalescing,
+//! the lanes, shutdown) is the state behind one lock.
 //!
 //! Three properties make it a throughput-oriented server rather than a
 //! demo loop:
@@ -29,10 +31,10 @@
 //! # No-panic guarantee
 //!
 //! This module is reachable from remote clients through `vserve-net`, so
-//! its non-test paths never `unwrap()` a lock or channel: metrics locks
-//! recover from poisoning ([`Shared::lock`] takes the inner value), cache
-//! and coalescing locks degrade to a cache miss on failure, and every
-//! reply/channel send ignores a disconnected peer. A failure anywhere in
+//! its non-test paths never `unwrap()` a lock or channel: the queue and
+//! metrics locks recover from poisoning (they take the inner value), the
+//! cache lock degrades to a cache miss on failure, and every reply/channel
+//! send ignores a disconnected peer. A failure anywhere in
 //! the pipeline fails *the request* (with a [`LiveError`] the front-end
 //! maps to a typed status frame), never the process. The
 //! `drop_with_requests_in_flight_answers_or_disconnects` test pins the
@@ -60,11 +62,10 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use vserve_compute::{Backend, Scratch};
 use vserve_dnn::Model;
 use vserve_metrics::{
@@ -364,68 +365,14 @@ impl LiveMetrics {
     }
 }
 
+/// Completion-side metrics; the queue gauge and shed counts are in [`QueueState`].
 struct MetricsInner {
     latency: LatencyStats,
     breakdown: StageBreakdown,
     meter: RateMeter,
     batch_sizes: Welford,
-    queue_depth: TimeWeightedGauge,
-    rejected: u64,
-    expired: u64,
     forward_calls: u64,
     inference_wall_s: f64,
-}
-
-/// Metrics state shared between the public handle and worker threads.
-/// Times are converted to seconds since server start at the boundary, the
-/// same convention the simulator uses.
-struct Shared {
-    epoch: Instant,
-    inner: Mutex<MetricsInner>,
-}
-
-impl Shared {
-    fn new() -> Self {
-        let mut meter = RateMeter::new();
-        meter.open(0.0);
-        Shared {
-            epoch: Instant::now(),
-            inner: Mutex::new(MetricsInner {
-                latency: LatencyStats::new(),
-                breakdown: StageBreakdown::new(),
-                meter,
-                batch_sizes: Welford::new(),
-                queue_depth: TimeWeightedGauge::new(0.0, 0.0),
-                rejected: 0,
-                expired: 0,
-                forward_calls: 0,
-                inference_wall_s: 0.0,
-            }),
-        }
-    }
-
-    fn secs(&self, t: Instant) -> f64 {
-        t.saturating_duration_since(self.epoch).as_secs_f64()
-    }
-
-    /// The `vserve-sched` tick: microseconds since start.
-    fn micros(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
-    fn lock(&self) -> MutexGuard<'_, MetricsInner> {
-        // A worker panicking mid-update must not take metrics down with it.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Records `n` requests leaving the pre-inference queues (in a batch,
-    /// or unserved), `expired` of them shed past their deadline.
-    fn dequeued(&self, now: Instant, n: usize, expired: usize) {
-        let t = self.secs(now);
-        let mut m = self.lock();
-        m.queue_depth.add(t, -(n as f64));
-        m.expired += expired as u64;
-    }
 }
 
 /// The receiving end of [`Reply::channel`], as returned by
@@ -626,16 +573,13 @@ impl Ready {
     }
 }
 
-/// Runtime state of one tenant lane, shared (inside an
-/// `Arc<Vec<LaneRt>>`) by the submitters, preproc workers, and inference
-/// workers.
-///
-/// Admission control lives here rather than in the [`BatchQueue`] so
-/// typed sheds ([`LiveError::QuotaExceeded`] / [`LiveError::SloInfeasible`])
-/// happen on the submitter's thread *before* any work is queued — the
-/// scheduler only ever sees admitted work. The rules are `vserve-sched`'s
-/// ([`TokenBucket`], [`edf_feasible`], [`ewma_unit_cost`]); this struct
-/// only keeps their inputs in atomics the threads share.
+/// The fixed half of one tenant lane: its configuration and the figures
+/// the inference workers keep ([`LaneState`] is the rest). Admission runs
+/// on the submitter's thread, under the queue lock with the enqueue, so
+/// typed sheds ([`LiveError::QuotaExceeded`] /
+/// [`LiveError::SloInfeasible`]) happen *before* any work is queued. The
+/// rules are `vserve-sched`'s ([`TokenBucket`], [`edf_feasible`],
+/// [`ewma_unit_cost`]).
 struct LaneRt {
     spec: TenantSpec,
     /// Model this lane executes on (possibly shared with other lanes).
@@ -646,19 +590,10 @@ struct LaneRt {
     /// identical pipelines share cache entries, differing ones cannot
     /// alias.
     spec_fp: u64,
-    /// Token-bucket quota, when the tenant configured one.
-    bucket: Option<Mutex<TokenBucket>>,
     /// EWMA per-item inference cost in µs (f64 bits; 0.0 = no evidence
     /// yet, in which case EDF admission stays optimistic).
     unit_cost_bits: AtomicU64,
-    /// Requests admitted and not yet dispatched to inference. Decremented
-    /// only under the [`BatchQueue`] lock, where [`BatchQueue::take`] reads
-    /// it, and incremented before the job is sent to ingress, so `Relaxed`
-    /// is enough for `take`'s count of what is on its way.
-    depth: AtomicUsize,
     completed: AtomicU64,
-    /// Admission sheds (quota + SLO).
-    shed: AtomicU64,
     /// Batch assembly: the most requests one batch takes, and how long
     /// the oldest may wait for it to fill ([`LiveOptions::max_batch`],
     /// [`LiveOptions::max_queue_delay`]).
@@ -678,24 +613,22 @@ impl LaneRt {
         f64::from_bits(self.unit_cost_bits.load(Ordering::Relaxed))
     }
 
-    /// Admission against this lane, on the submitter's thread, before any
-    /// work is queued. Order: quota first (cheapest, and a tenant over
-    /// quota should not consume an SLO estimate), then EDF feasibility
-    /// against the *tenant* SLO. Per-request deadlines are a separate
-    /// mechanism (they shed as `DeadlineExceeded` downstream) and never
-    /// trigger `SloInfeasible`.
-    fn admit(&self, shared: &Shared, now: Instant) -> Result<(), LiveError> {
-        if let Some(bucket) = &self.bucket {
-            let mut bucket = bucket.lock().unwrap_or_else(|e| e.into_inner());
-            if !bucket.try_take(shared.micros(now)) {
-                self.shed.fetch_add(1, Ordering::Relaxed);
+    /// Admission against this lane's state `st` at tick `now_us`. Order:
+    /// quota first (cheapest, and a tenant over quota should not consume
+    /// an SLO estimate), then EDF feasibility against the *tenant* SLO.
+    /// Per-request deadlines are a separate mechanism (they shed as
+    /// `DeadlineExceeded` downstream) and never trigger `SloInfeasible`.
+    fn admit(&self, st: &mut LaneState, now_us: u64) -> Result<(), LiveError> {
+        if let Some(bucket) = &mut st.bucket {
+            if !bucket.try_take(now_us) {
+                st.shed += 1;
                 return Err(LiveError::QuotaExceeded);
             }
         }
         if let Some(deadline_us) = self.spec.deadline_us {
-            let depth = self.depth.load(Ordering::Relaxed);
+            let depth = st.admitted;
             if !edf_feasible(depth, self.unit_cost_us(), self.linger_us, deadline_us) {
-                self.shed.fetch_add(1, Ordering::Relaxed);
+                st.shed += 1;
                 return Err(LiveError::SloInfeasible);
             }
         }
@@ -745,11 +678,11 @@ fn validate_tenants(tenants: &[TenantSpec]) -> Result<(), String> {
 }
 
 /// The submit side of a running server — everything [`LiveServer`] and
-/// each [`PipelineHandle`] need to put a request on a lane.
+/// each [`PipelineHandle`] need to put a request on a lane. It keeps no
+/// worker alive: after shutdown a submission answers `Disconnected`.
 #[derive(Clone)]
 struct Ingress {
-    tx: Sender<Job>,
-    /// The lane queues, with the lanes and metrics they share.
+    /// The lane queue, with the lanes and metrics it shares.
     queue: Arc<BatchQueue>,
     /// Server-wide default deadline ([`LiveOptions::deadline`]).
     deadline: Option<Duration>,
@@ -761,10 +694,10 @@ struct Ingress {
 }
 
 impl Ingress {
-    /// The one path onto the ingress channel: admission, then the job.
-    /// With `block` false a full channel sheds [`LiveError::Overloaded`];
-    /// with `block` true the caller waits for room (reserved capacity,
-    /// see [`PipelineHandle::submit_reserved`]).
+    /// The one path into the server ([`BatchQueue::enqueue`]). With
+    /// `block` false a full ingress FIFO sheds [`LiveError::Overloaded`];
+    /// with `block` true the caller waits for room (reserved capacity, see
+    /// [`PipelineHandle::submit_reserved`]).
     fn submit(
         &self,
         lane: usize,
@@ -776,11 +709,8 @@ impl Ingress {
     ) {
         let now = Instant::now();
         let id = trace_id.unwrap_or_else(|| self.next_req.fetch_add(1, Ordering::Relaxed));
-        let Some(l) = self.queue.lanes.get(lane) else {
+        if lane >= self.queue.lanes.len() {
             return reply.send(Err(LiveError::Disconnected));
-        };
-        if let Err(e) = l.admit(&self.queue.shared, now) {
-            return reply.send(Err(e));
         }
         let nbytes = jpeg.len() as u64;
         let job = Job {
@@ -791,37 +721,13 @@ impl Ingress {
             deadline: deadline.or(self.deadline).map(|d| now + d),
             reply,
         };
-        // Count the job before a worker can see it: a worker may fail or
-        // flush it, and uncount it, before the send below returns.
-        l.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = if block {
-            self.tx
-                .send(job)
-                .map_err(|e| TrySendError::Disconnected(e.0))
-        } else {
-            self.tx.try_send(job)
-        };
-        match sent {
+        match self.queue.enqueue(job, block) {
             Ok(()) => {
-                // The gauge counts after the send: it cannot wrap, and
-                // counting a shed job first would lift its peak.
-                let t = self.queue.shared.secs(now);
-                self.queue.shared.lock().queue_depth.add(t, 1.0);
                 let tag = LaneRt::tag(lane);
                 self.trace
                     .event_tagged(tag, id, trace_events::INGRESS, now, nbytes);
             }
-            Err(e) => {
-                self.queue.withdraw(lane);
-                let (job, err) = match e {
-                    TrySendError::Full(job) => {
-                        self.queue.shared.lock().rejected += 1;
-                        (job, LiveError::Overloaded)
-                    }
-                    TrySendError::Disconnected(job) => (job, LiveError::Disconnected),
-                };
-                job.reply.send(Err(err));
-            }
+            Err((job, e)) => job.reply.send(Err(e)),
         }
     }
 }
@@ -829,45 +735,44 @@ impl Ingress {
 /// Everything a preprocessing worker needs; each worker holds a clone.
 #[derive(Clone)]
 struct PreprocEnv {
-    rx: Receiver<Job>,
     queue: Arc<BatchQueue>,
     backend: Backend,
     cache: Arc<Mutex<PreprocCache>>,
-    inflight: Arc<Mutex<HashMap<CacheKey, Vec<Job>>>>,
     /// The cache has a non-zero budget: workers skip hashing otherwise.
     cache_on: bool,
     fast: bool,
     coalesce: bool,
 }
 
-/// Body of a preprocessing worker: takes jobs from the shared ingress
-/// receiver until every sender is gone and the channel is drained.
+/// Body of a preprocessing worker: pops jobs from the ingress FIFO until
+/// the server is closed and the FIFO drained.
 fn preproc_worker_loop(env: PreprocEnv, tr: TraceHandle) {
     // Each worker owns a scratch arena: after the first frame the decode
     // path stops allocating its temporaries.
     let mut scratch = Scratch::new();
-    while let Ok(job) = env.rx.recv() {
+    while let Some(job) = env.queue.pop() {
         process_one(&env, &tr, &mut scratch, job);
     }
 }
 
 /// Decodes (or cache-serves) one job and queues the `Ready` work on its
 /// lane, waiting while the lane queues are full.
-fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: Job) {
-    let (lanes, shared) = (&env.queue.lanes, &env.queue.shared);
+fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, mut job: Job) {
+    let queue = &env.queue;
     let start = Instant::now();
     let nbytes = job.jpeg.len() as u64;
-    let lane = &lanes[job.lane as usize];
+    let lane = &queue.lanes[job.lane as usize];
     let side = lane.side;
     let tag = LaneRt::tag(job.lane as usize);
     if job.deadline.is_some_and(|d| start >= d) {
-        env.queue.withdraw(job.lane as usize);
-        shared.dequeued(start, 1, 1);
+        queue.withdraw(job.lane as usize, None, true);
         job.reply.send(Err(LiveError::DeadlineExceeded));
         return;
     }
     let key = (env.cache_on || env.coalesce)
         .then(|| CacheKey::for_payload_spec(&job.jpeg, side, lane.spec_fp));
+    // The payload this worker leads the decode of, duplicates parked on it.
+    let mut led = None;
     if let Some(k) = key {
         if let Some(tensor) = env.cache.lock().ok().and_then(|mut c| c.get(&k)) {
             // Cache hit: the measured preprocessing time is the content
@@ -878,24 +783,20 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
             tr.span_tagged(tag, job.id, stages::PREPROC, start, done, 0, nbytes);
             tr.event_tagged(tag, job.id, trace_events::CACHE_HIT, done, nbytes);
             let (ready, jpeg) = Ready::new(job, tensor, start, done);
-            env.queue.push(ready);
+            queue.push(ready, None);
             drop(jpeg);
             return;
         }
         if env.coalesce {
-            if let Ok(mut infl) = env.inflight.lock() {
-                if let Some(waiters) = infl.get_mut(&k) {
-                    let wid = job.id;
-                    waiters.push(job);
-                    drop(infl);
-                    if let Ok(mut c) = env.cache.lock() {
-                        c.note_coalesced();
-                    }
-                    tr.event_tagged(tag, wid, trace_events::COALESCE, start, nbytes);
-                    return;
+            let wid = job.id;
+            let Some(leader) = queue.attach_or_lead(k, job) else {
+                if let Ok(mut c) = env.cache.lock() {
+                    c.note_coalesced();
                 }
-                infl.insert(k, Vec::new());
-            }
+                tr.event_tagged(tag, wid, trace_events::COALESCE, start, nbytes);
+                return;
+            };
+            (job, led) = (leader, Some(k));
         }
         if env.cache_on {
             tr.event_tagged(tag, job.id, trace_events::CACHE_MISS, start, nbytes);
@@ -908,8 +809,8 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
             .map(|img| ops::standard_preprocess_with(&env.backend, &img, side))
     };
     let done = Instant::now();
-    // Publish to the cache *before* detaching the waiter list so a
-    // duplicate arriving in between finds one or the other; then serve
+    // Publish to the cache *before* the push detaches the waiter list so
+    // a duplicate arriving in between finds one or the other; then serve
     // the leader and every waiter.
     let tensor = result.map(Arc::new);
     if let (Some(k), Ok(t)) = (key, &tensor) {
@@ -919,29 +820,19 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
             }
         }
     }
-    let waiters = match (key, env.coalesce) {
-        (Some(k), true) => env
-            .inflight
-            .lock()
-            .ok()
-            .and_then(|mut infl| infl.remove(&k))
-            .unwrap_or_default(),
-        _ => Vec::new(),
-    };
     match tensor {
         Ok(tensor) => {
             tr.span_tagged(tag, job.id, stages::QUEUE, job.submitted, start, 0, nbytes);
             tr.span_tagged(tag, job.id, stages::PREPROC, start, done, 0, nbytes);
             let (ready, jpeg) = Ready::new(job, Arc::clone(&tensor), start, done);
-            env.queue.push(ready);
+            let waiters = queue.push(ready, led);
             // Every waiter's queue runs from the same `done`: the payloads
             // are freed once the last of them is pushed.
             let mut spent = Vec::with_capacity(waiters.len());
             for w in waiters {
                 let wtag = LaneRt::tag(w.lane as usize);
                 if w.deadline.is_some_and(|d| done >= d) {
-                    env.queue.withdraw(w.lane as usize);
-                    shared.dequeued(done, 1, 1);
+                    queue.withdraw(w.lane as usize, None, true);
                     spent.push(w.jpeg);
                     w.reply.send(Err(LiveError::DeadlineExceeded));
                     continue;
@@ -955,149 +846,274 @@ fn process_one(env: &PreprocEnv, tr: &TraceHandle, scratch: &mut Scratch, job: J
                 tr.span_tagged(wtag, w.id, stages::QUEUE, w.submitted, done, 0, nbytes);
                 tr.span_tagged(wtag, w.id, stages::PREPROC, done, done, 0, 0);
                 let (ready, wjpeg) = Ready::new(w, Arc::clone(&tensor), done, done);
-                env.queue.push(ready);
+                queue.push(ready, None);
                 spent.push(wjpeg);
             }
             drop((jpeg, spent));
         }
         Err(e) => {
-            env.queue.withdraw(job.lane as usize);
-            shared.dequeued(done, 1, 0);
+            let waiters = queue.withdraw(job.lane as usize, led, false);
             job.reply.send(Err(LiveError::Decode(e)));
             for w in waiters {
-                env.queue.withdraw(w.lane as usize);
-                shared.dequeued(done, 1, 0);
                 w.reply.send(Err(LiveError::Decode(e)));
             }
         }
     }
 }
 
-/// The lane queues between the preprocessing pool and the inference
-/// workers: a batching-only [`vserve_sched::Scheduler`] (one lane per
-/// tenant; admission already ran) behind one lock. Preprocessing workers
-/// [`push`](Self::push); a free inference worker [`take`](Self::take)s,
-/// so the pick is made when the batch can run, as on a simulated GPU.
+/// Who waits on each of [`BatchQueue::cvs`].
+#[derive(Clone, Copy)]
+enum Cv {
+    /// Idle preprocessing workers, for a job in the ingress FIFO.
+    Job,
+    /// Free inference workers, for a batch to become ready.
+    Batch,
+    /// Pushers on full lanes and reserved submitters on a full FIFO.
+    Room,
+}
+
+/// A live request's whole way to its batch behind one lock: the bounded
+/// ingress FIFO, the coalescing table, each lane's admission state, and
+/// the lane queues (a batching-only [`vserve_sched::Scheduler`]) that a
+/// free inference worker [`take`](Self::take)s from, so the pick is made
+/// when the batch can run, as on a simulated GPU. Each step is one
+/// critical section, so every count is exact. Shutdown is one `closed`
+/// flag: submissions then answer `Disconnected`, the workers drain the
+/// FIFO and then the lanes until no request is admitted, and exit.
 struct BatchQueue {
     state: Mutex<QueueState>,
-    /// Signals a push, a take (room for a waiting push) and close.
-    cv: Condvar,
-    /// Most requests queued ([`LiveOptions::queue_cap`]): a full queue
-    /// blocks preprocessing, so ingress fills and sheds `Overloaded`.
+    /// Indexed by [`Cv`].
+    cvs: [Condvar; 3],
+    /// Most requests in the FIFO, and most queued on the lanes
+    /// ([`LiveOptions::queue_cap`]): a full FIFO sheds `Overloaded`, full
+    /// lanes block preprocessing so the FIFO fills.
     cap: usize,
-    lanes: Arc<Vec<LaneRt>>,
-    shared: Arc<Shared>,
+    lanes: Vec<LaneRt>,
+    /// Server start: times are seconds since it, as in the simulator.
+    epoch: Instant,
+    metrics: Mutex<MetricsInner>,
 }
 
 struct QueueState {
+    /// Admitted jobs waiting for a preprocessing worker, oldest first.
+    ingress: VecDeque<Job>,
+    /// Coalescing: each payload being preprocessed, and the duplicates
+    /// parked on it until its push.
+    inflight: HashMap<CacheKey, Vec<Job>>,
+    lanes: Vec<LaneState>,
     sched: Scheduler<Ready>,
-    /// Per lane, the push tick of each queued request, oldest first (the
-    /// scheduler keeps them too, but cannot be asked for them).
-    pushed: Vec<VecDeque<u64>>,
-    /// No preprocessing worker is left: drain every lane, then stop.
+    /// Requests admitted and not yet taken or answered, over time.
+    depth: TimeWeightedGauge,
+    /// Requests shed `Overloaded` and `DeadlineExceeded`.
+    rejected: u64,
+    expired: u64,
     closed: bool,
     /// Batches taken so far; the trace's `batch_id` (from 1).
     seq: u64,
-    /// Threads blocked on `cv`: with none, a change skips the wake call.
-    waiting: usize,
+    /// Threads blocked on each condvar (a wake with none is skipped).
+    waiting: [usize; 3],
+}
+
+/// One lane's part of [`QueueState`].
+struct LaneState {
+    /// Requests admitted and not yet taken in a batch or answered.
+    admitted: usize,
+    /// The push tick of each queued request, oldest first (the scheduler
+    /// keeps them too, but cannot be asked for them).
+    pushed: VecDeque<u64>,
+    bucket: Option<TokenBucket>,
+    /// Admission sheds (quota + SLO).
+    shed: u64,
 }
 
 type QueueGuard<'a> = MutexGuard<'a, QueueState>;
 
 impl BatchQueue {
     fn lock(&self) -> QueueGuard<'_> {
+        // A worker panicking mid-update must not take the server down.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn metrics(&self) -> MutexGuard<'_, MetricsInner> {
+        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn secs(&self, t: Instant) -> f64 {
+        t.saturating_duration_since(self.epoch).as_secs_f64()
+    }
+
+    /// The `vserve-sched` tick: microseconds since start.
+    fn micros(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
+    }
+
     /// Blocks on `cv` for at most `timeout` (`Duration::MAX`: no limit).
-    fn wait<'a>(&self, mut st: QueueGuard<'a>, timeout: Duration) -> QueueGuard<'a> {
-        st.waiting += 1;
-        let woken = self.cv.wait_timeout(st, timeout);
+    fn wait<'a>(&self, mut st: QueueGuard<'a>, cv: Cv, timeout: Duration) -> QueueGuard<'a> {
+        st.waiting[cv as usize] += 1;
+        let woken = self.cvs[cv as usize].wait_timeout(st, timeout);
         let (mut st, _) = woken.unwrap_or_else(|e| e.into_inner());
-        st.waiting -= 1;
+        st.waiting[cv as usize] -= 1;
         st
     }
 
-    /// Unlocks, then wakes every blocked thread to re-check the state.
-    fn wake(&self, st: QueueGuard<'_>) {
-        if st.waiting > 0 {
-            drop(st);
-            self.cv.notify_all();
+    /// Unlocks, then wakes the threads blocked on each of `cvs`: one
+    /// preprocessing worker per new job, every waiter otherwise.
+    fn wake(&self, st: QueueGuard<'_>, cvs: &[Cv]) {
+        let waiting = st.waiting;
+        drop(st);
+        for &cv in cvs.iter().filter(|&&cv| waiting[cv as usize] > 0) {
+            match cv {
+                Cv::Job => self.cvs[cv as usize].notify_one(),
+                Cv::Batch | Cv::Room => self.cvs[cv as usize].notify_all(),
+            }
         }
+    }
+
+    /// Admission and the ingress FIFO in one critical section. The job
+    /// comes back with its error when the server is closed (`Disconnected`),
+    /// the lane sheds it ([`LaneRt::admit`]), or the FIFO is full
+    /// (`Overloaded`; with `block`, it waits for a slot, or for close).
+    fn enqueue(&self, job: Job, block: bool) -> Result<(), (Job, LiveError)> {
+        let lane = job.lane as usize;
+        let mut st = self.lock();
+        if !st.closed {
+            let now_us = self.micros(job.submitted);
+            if let Err(e) = self.lanes[lane].admit(&mut st.lanes[lane], now_us) {
+                return Err((job, e));
+            }
+        }
+        while block && st.ingress.len() >= self.cap && !st.closed {
+            st = self.wait(st, Cv::Room, Duration::MAX);
+        }
+        if st.closed {
+            return Err((job, LiveError::Disconnected));
+        }
+        if st.ingress.len() >= self.cap {
+            st.rejected += 1;
+            return Err((job, LiveError::Overloaded));
+        }
+        st.lanes[lane].admitted += 1;
+        st.depth.add(self.secs(job.submitted), 1.0);
+        st.ingress.push_back(job);
+        self.wake(st, &[Cv::Job]);
+        Ok(())
+    }
+
+    /// The oldest job in the ingress FIFO, for a preprocessing worker;
+    /// `None` once the server is closed and the FIFO drained.
+    fn pop(&self) -> Option<Job> {
+        let mut st = self.lock();
+        while st.ingress.is_empty() && !st.closed {
+            st = self.wait(st, Cv::Job, Duration::MAX);
+        }
+        let job = st.ingress.pop_front();
+        self.wake(st, &[Cv::Room]);
+        job
+    }
+
+    /// Coalescing: parks `job` on the worker already preprocessing the
+    /// payload `key` (`None`), or hands it back to a caller who now leads
+    /// that payload's decode.
+    fn attach_or_lead(&self, key: CacheKey, job: Job) -> Option<Job> {
+        let mut st = self.lock();
+        if let Some(waiters) = st.inflight.get_mut(&key) {
+            waiters.push(job);
+            return None;
+        }
+        st.inflight.insert(key, Vec::new());
+        Some(job)
     }
 
     /// Queues a preprocessed request on its lane, waiting for room while
-    /// `cap` requests are queued.
-    fn push(&self, r: Ready) {
+    /// `cap` requests are queued, and hands back the duplicates parked on
+    /// the payload it `led`.
+    fn push(&self, r: Ready, led: Option<CacheKey>) -> Vec<Job> {
         let mut st = self.lock();
-        while st.sched.total_depth() >= self.cap && !st.closed {
-            st = self.wait(st, Duration::MAX);
+        while st.sched.total_depth() >= self.cap {
+            st = self.wait(st, Cv::Room, Duration::MAX);
         }
-        let (lane, now) = (r.lane as usize, self.shared.micros(Instant::now()));
-        st.pushed[lane].push_back(now);
+        let waiters = led.and_then(|k| st.inflight.remove(&k));
+        let (lane, now) = (r.lane as usize, self.micros(Instant::now()));
+        st.lanes[lane].pushed.push_back(now);
         st.sched.submit(lane, r, now);
-        self.wake(st);
+        self.wake(st, &[Cv::Batch]);
+        waiters.unwrap_or_default()
     }
 
     /// A request of `lane` that was on its way leaves without a push (its
-    /// send to ingress, its decode or its deadline failed). A partial batch
-    /// of that lane may have been lingering for it, so the inference
-    /// workers re-check.
-    fn withdraw(&self, lane: usize) {
-        let st = self.lock();
-        self.lanes[lane].depth.fetch_sub(1, Ordering::Relaxed);
-        self.wake(st);
+    /// decode or deadline failed), with the duplicates parked on the
+    /// payload it `led`, returned to be answered too. A partial batch may
+    /// have lingered for them, so the inference workers re-check.
+    fn withdraw(&self, lane: usize, led: Option<CacheKey>, expired: bool) -> Vec<Job> {
+        let now = Instant::now();
+        let mut st = self.lock();
+        let waiters = led.and_then(|k| st.inflight.remove(&k)).unwrap_or_default();
+        st.lanes[lane].admitted -= 1;
+        for w in &waiters {
+            st.lanes[w.lane as usize].admitted -= 1;
+        }
+        let n = 1 + waiters.len();
+        st.depth.add(self.secs(now), -(n as f64));
+        st.expired += if expired { n as u64 } else { 0 };
+        self.wake(st, &[Cv::Batch]);
+        waiters
     }
 
     /// The next batch for the calling inference worker, as `(seq, lane,
-    /// requests)`; `None` once the queue is closed and drained. Waits
-    /// until some lane is ready: its batch is full, its head has lingered
-    /// out, or nothing else of that lane is on its way ([`lane_linger`]:
-    /// admitted, not yet pushed — in ingress or being preprocessed), so
-    /// waiting could not grow it. Every lane is ready once the queue is full or closed. A
+    /// requests)`; `None` once the server is closed and no request is
+    /// admitted. Waits until some lane is ready: its batch is full, its
+    /// head has lingered out, or nothing else of that lane is on its way
+    /// ([`lane_linger`]: admitted, not yet pushed), so waiting could not
+    /// grow it. Every lane is ready once the queue is full or closed. A
     /// batch holds only what came within one configured linger of its
     /// head; later arrivals wait for the next one rather than grow it
     /// while the worker was busy: a bigger batch costs memory, and speed
     /// where the forward pass does not amortise it. Requests past their
-    /// deadline are answered here, and the whole batch leaves its lane's
-    /// depth (under the lock, so the next `take` counts exactly) and the
-    /// queue gauge; the `batch-flush` event goes on the caller's track
-    /// `tr`.
+    /// deadline are answered here; the whole batch leaves its lane's
+    /// admitted count and the queue gauge, and the `batch-flush` event
+    /// goes on the caller's track `tr`.
     fn take(&self, tr: &TraceHandle) -> Option<(u64, usize, Vec<Ready>)> {
         let mut st = self.lock();
         loop {
-            for (i, l) in self.lanes.iter().enumerate() {
-                let (mb, linger) = (l.max_batch, l.linger_us);
-                let q = &st.pushed[i];
+            let QueueState { lanes, sched, .. } = &mut *st;
+            for (i, (l, ls)) in self.lanes.iter().zip(lanes.iter()).enumerate() {
+                let (mb, linger, q) = (l.max_batch, l.linger_us, &ls.pushed);
                 let end = q.front().map(|&head| head.saturating_add(linger));
                 let window = end.map_or(0, |e| q.iter().take_while(|&&t| t <= e).count());
                 let cap = if window < q.len() { window.min(mb) } else { mb };
-                let on_the_way = l.depth.load(Ordering::Relaxed).saturating_sub(q.len());
-                st.sched
+                let on_the_way = ls.admitted - q.len();
+                sched
                     .lane_mut(i)
                     .set_assembly(cap, lane_linger(linger, on_the_way));
             }
             let now = Instant::now();
-            let ticks = self.shared.micros(now);
+            let ticks = self.micros(now);
             let full = st.closed || st.sched.total_depth() >= self.cap;
             let Some(batch) = st.sched.next_batch(if full { u64::MAX } else { ticks }) else {
-                if st.closed {
+                if st.closed && st.lanes.iter().all(|l| l.admitted == 0) {
                     return None;
                 }
                 let wait = st.sched.next_flush_at().map(|at| at.saturating_sub(ticks));
-                st = self.wait(st, wait.map_or(Duration::MAX, Duration::from_micros));
+                let wait = wait.map_or(Duration::MAX, Duration::from_micros);
+                st = self.wait(st, Cv::Batch, wait);
                 continue;
             };
             let n = batch.items.len();
-            st.pushed[batch.lane].drain(..n);
-            self.lanes[batch.lane].depth.fetch_sub(n, Ordering::Relaxed);
-            let items = batch.items.into_iter().map(|(r, _)| r);
-            let (live, expired): (Vec<_>, Vec<_>) =
-                items.partition(|r| r.deadline.is_none_or(|d| now < d));
-            st.seq += u64::from(!live.is_empty());
+            let lane = &mut st.lanes[batch.lane];
+            lane.pushed.drain(..n);
+            lane.admitted -= n;
+            // Counted under the lock and split after it: enqueues wait less.
+            let late = |r: &Ready| r.deadline.is_some_and(|d| now >= d);
+            let n_late = batch.items.iter().filter(|(r, _)| late(r)).count();
+            st.depth.add(self.secs(now), -(n as f64));
+            st.expired += n_late as u64;
+            st.seq += u64::from(n_late < n);
             let seq = st.seq;
-            self.wake(st);
-            self.shared.dequeued(now, n, expired.len());
+            // Closing, the other inference workers wait for the last one.
+            let woken = 1 + usize::from(st.closed);
+            self.wake(st, &[Cv::Room, Cv::Batch][..woken]);
+            let items = batch.items.into_iter().map(|(r, _)| r);
+            let (expired, live): (Vec<_>, Vec<_>) = items.partition(late);
             for r in expired {
                 r.reply.send(Err(LiveError::DeadlineExceeded));
             }
@@ -1110,12 +1126,12 @@ impl BatchQueue {
         }
     }
 
-    /// Called once no preprocessing worker is left to push: the inference
-    /// workers drain every lane, lingering or not, and exit.
+    /// Shuts the request path: see the type's docs.
     fn close(&self) {
-        let mut st = self.lock();
-        st.closed = true;
-        self.wake(st);
+        self.lock().closed = true;
+        for cv in &self.cvs {
+            cv.notify_all();
+        }
     }
 }
 
@@ -1124,7 +1140,7 @@ impl BatchQueue {
 /// attributes per-item cost, feeds the lane's EDF cost estimate, and
 /// answers every request.
 fn inference_worker_loop(queue: Arc<BatchQueue>, tr: TraceHandle) {
-    let (lanes, shared) = (&queue.lanes, &queue.shared);
+    let lanes = &queue.lanes;
     while let Some((batch_seq, lane_idx, batch)) = queue.take(&tr) {
         let lane = &lanes[lane_idx];
         let tag = LaneRt::tag(lane_idx);
@@ -1150,13 +1166,13 @@ fn inference_worker_loop(queue: Arc<BatchQueue>, tr: TraceHandle) {
         let p = per_item.as_secs_f64();
         let mut replies = Vec::with_capacity(n);
         {
-            let mut m = shared.lock();
+            let mut m = queue.metrics();
             m.forward_calls += 1;
             m.batch_sizes.push(n as f64);
             m.inference_wall_s += wall.as_secs_f64();
             match result {
                 Ok(outputs) => {
-                    let t = shared.secs(finished);
+                    let t = queue.secs(finished);
                     let mut lat = lane.lat.lock().unwrap_or_else(|e| e.into_inner());
                     for (i, (ready, out)) in batch.into_iter().zip(outputs).enumerate() {
                         let queue = ready.ingress_wait
@@ -1227,34 +1243,26 @@ fn inference_worker_loop(queue: Arc<BatchQueue>, tr: TraceHandle) {
 
 /// A running live server; dropping it shuts down all worker threads.
 pub struct LiveServer {
-    /// Taken on drop to close the ingress channel.
-    ingress: Option<Ingress>,
-    /// Tenant lanes in lane order; index is the stable lane id.
-    lanes: Arc<Vec<LaneRt>>,
-    /// Preprocessing workers; they exit once ingress is closed and drained.
-    preproc: Vec<std::thread::JoinHandle<()>>,
-    /// Inference workers.
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Closed on drop once the preprocessing workers have exited.
-    queue: Arc<BatchQueue>,
-    shared: Arc<Shared>,
+    /// The submit side; its queue holds the lanes (index = stable lane
+    /// id) and the metrics.
+    ingress: Ingress,
+    /// Preprocessing, then inference workers; they exit once the queue
+    /// is closed and drained.
+    workers: Vec<std::thread::JoinHandle<()>>,
     backend: Backend,
     cache: Arc<Mutex<PreprocCache>>,
     tracer: Tracer,
-    /// Ingress queue capacity, exposed to pipeline executors as the
-    /// fan-out reservation budget (see [`PipelineHandle::queue_cap`]).
-    queue_cap: usize,
     /// Registered multi-stage pipeline executors by name
-    /// ([`LiveServer::register_pipeline`]). Cleared *first* on drop: a
-    /// driver's executor holds an ingress sender clone, so it must shut
-    /// down before the worker joins below can observe a closed channel.
+    /// ([`LiveServer::register_pipeline`]). Cleared *first* on drop: an
+    /// executor relies on the running workers to retire its in-flight
+    /// sub-requests.
     pipelines: Mutex<HashMap<String, Arc<dyn PipelineDriver>>>,
 }
 
 impl std::fmt::Debug for LiveServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveServer")
-            .field("threads", &self.handles.len())
+            .field("threads", &self.workers.len())
             .finish()
     }
 }
@@ -1328,6 +1336,7 @@ impl LiveServer {
             preproc_spec_fingerprint(opts.fast_preproc, &ops::IMAGENET_MEAN, &ops::IMAGENET_STD);
         let linger_us = opts.max_queue_delay.as_micros().min(u64::MAX as u128) as u64;
         let mut lanes = Vec::with_capacity(tenants.len());
+        let mut states = Vec::with_capacity(tenants.len());
         for spec in tenants {
             let model_idx = match names.iter().position(|n| *n == spec.model) {
                 Some(i) => i,
@@ -1339,68 +1348,76 @@ impl LiveServer {
                     ))
                 }
             };
+            states.push(LaneState {
+                admitted: 0,
+                pushed: VecDeque::new(),
+                bucket: spec.quota.map(TokenBucket::from_spec),
+                shed: 0,
+            });
             lanes.push(LaneRt {
                 model: Arc::clone(&models[model_idx]),
                 side: sides[model_idx],
                 spec_fp,
-                bucket: spec
-                    .quota
-                    .clone()
-                    .map(|q| Mutex::new(TokenBucket::from_spec(q))),
                 unit_cost_bits: AtomicU64::new(0),
-                depth: AtomicUsize::new(0),
                 completed: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
                 max_batch: opts.max_batch.max(1),
                 linger_us,
                 lat: Mutex::new(LatencyStats::new()),
                 spec,
             });
         }
-        let lanes = Arc::new(lanes);
-        let shared = Arc::new(Shared::new());
-        let (ingress_tx, ingress_rx) = bounded::<Job>(opts.queue_cap.max(1));
+        let mut meter = RateMeter::new();
+        meter.open(0.0);
         // Assembly is set from each lane's fields on every take.
         let sched = Scheduler::batching(lanes.iter().map(|l| l.spec.clone()), 1, 0);
         let queue = Arc::new(BatchQueue {
             state: Mutex::new(QueueState {
-                pushed: vec![VecDeque::new(); lanes.len()],
+                ingress: VecDeque::new(),
+                inflight: HashMap::new(),
+                lanes: states,
                 sched,
+                depth: TimeWeightedGauge::new(0.0, 0.0),
+                rejected: 0,
+                expired: 0,
                 closed: false,
                 seq: 0,
-                waiting: 0,
+                waiting: [0; 3],
             }),
-            cv: Condvar::new(),
+            cvs: Default::default(),
             cap: opts.queue_cap.max(1),
-            lanes: Arc::clone(&lanes),
-            shared: Arc::clone(&shared),
+            lanes,
+            epoch: Instant::now(),
+            metrics: Mutex::new(MetricsInner {
+                latency: LatencyStats::new(),
+                breakdown: StageBreakdown::new(),
+                meter,
+                batch_sizes: Welford::new(),
+                forward_calls: 0,
+                inference_wall_s: 0.0,
+            }),
         });
 
         // Preprocessing workers: decode → resize → normalize, with a
-        // content-addressed result cache and in-flight coalescing. The
-        // in-flight table maps a payload key to the jobs parked on the
-        // worker currently preprocessing that payload; the completing
-        // worker forwards one `Ready` per parked job, so N concurrent
-        // duplicates cost exactly one decode.
+        // content-addressed result cache and in-flight coalescing: the
+        // queue's coalescing table parks duplicates on the worker
+        // currently preprocessing their payload, and that worker forwards
+        // one `Ready` per parked job, so N concurrent duplicates cost
+        // exactly one decode.
         let cache_bytes = opts.preproc_cache_mb.unwrap_or(DEFAULT_PREPROC_CACHE_MB) * 1024 * 1024;
         let cache = Arc::new(Mutex::new(PreprocCache::new(cache_bytes)));
-        let inflight: Arc<Mutex<HashMap<CacheKey, Vec<Job>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
         let tracer = opts.trace.clone();
         // Registration order fixes trace thread ids: ingress, preproc
         // workers, inference workers (which also record `batch-flush`).
         let ingress_trace = tracer.register("ingress");
         let env = PreprocEnv {
-            rx: ingress_rx,
             queue: Arc::clone(&queue),
             backend: backend.clone(),
             cache: Arc::clone(&cache),
-            inflight,
             cache_on: cache_bytes > 0,
             fast: opts.fast_preproc,
             coalesce: opts.coalesce,
         };
-        let preproc = (0..opts.preproc_workers.max(1))
+        let mut workers: Vec<_> = (0..opts.preproc_workers.max(1))
             .map(|w| {
                 let env = env.clone();
                 let tr = tracer.register(&format!("preproc-{w}"));
@@ -1411,31 +1428,23 @@ impl LiveServer {
         // Inference workers: each takes the next ready lane batch when it
         // is free and runs it as one batched forward call on the lane's
         // model.
-        let handles = (0..opts.inference_workers.max(1))
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let tr = tracer.register(&format!("inference-{w}"));
-                std::thread::spawn(move || inference_worker_loop(queue, tr))
-            })
-            .collect();
+        workers.extend((0..opts.inference_workers.max(1)).map(|w| {
+            let queue = Arc::clone(&queue);
+            let tr = tracer.register(&format!("inference-{w}"));
+            std::thread::spawn(move || inference_worker_loop(queue, tr))
+        }));
 
         Ok(LiveServer {
-            ingress: Some(Ingress {
-                tx: ingress_tx,
-                queue: Arc::clone(&queue),
+            ingress: Ingress {
+                queue,
                 deadline: opts.deadline,
                 next_req: Arc::new(AtomicU64::new(1)),
                 trace: ingress_trace,
-            }),
-            lanes,
-            preproc,
-            handles,
-            queue,
-            shared,
+            },
+            workers,
             backend,
             cache,
             tracer,
-            queue_cap: opts.queue_cap.max(1),
             pipelines: Mutex::new(HashMap::new()),
         })
     }
@@ -1479,28 +1488,27 @@ impl LiveServer {
             trace_id,
             reply,
         } = req;
-        match (target, &self.ingress) {
-            (Target::Lane(lane), Some(ingress)) => {
-                ingress.submit(lane, jpeg, deadline, trace_id, reply, false)
-            }
-            (Target::Pipeline(name), _) => match self.pipeline_of(name) {
+        match target {
+            Target::Lane(lane) => self
+                .ingress
+                .submit(lane, jpeg, deadline, trace_id, reply, false),
+            Target::Pipeline(name) => match self.pipeline_of(name) {
                 Some(driver) => driver.submit(jpeg.into(), deadline, trace_id, reply),
                 None => reply.send(Err(LiveError::Disconnected)),
             },
-            (Target::Lane(_), None) => reply.send(Err(LiveError::Disconnected)),
         }
     }
 
     /// Number of tenant lanes (1 for single-lane servers).
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+        self.ingress.queue.lanes.len()
     }
 
     /// Resolves a tenant name — or, failing that, a model name — to its
     /// lane index (first match wins). The net front-end routes wire
     /// requests with a tenant header through this.
     pub fn lane_of(&self, name: &str) -> Option<usize> {
-        lane_of(&self.lanes, name)
+        lane_of(&self.ingress.queue.lanes, name)
     }
 
     /// Submits a JPEG and blocks for the result.
@@ -1518,29 +1526,35 @@ impl LiveServer {
 
     /// Snapshots the server's metrics since start.
     pub fn metrics(&self) -> LiveMetrics {
-        let t = self.shared.secs(Instant::now());
+        let queue = &self.ingress.queue;
+        let t = queue.secs(Instant::now());
         let stats = self.backend.stats();
         let cache_stats = self
             .cache
             .lock()
             .map(|c| c.stats())
             .unwrap_or_else(|e| e.into_inner().stats());
-        // Lane snapshots are collected before taking the shared metrics
-        // lock (inference workers acquire shared → lane.lat; acquiring
-        // in the reverse order here would risk deadlock).
-        let lanes: Vec<LaneMetrics> = self
+        let st = queue.lock();
+        let admission: Vec<_> = st.lanes.iter().map(|l| (l.admitted, l.shed)).collect();
+        let (depth, rejected, expired) = (st.depth, st.rejected, st.expired);
+        drop(st);
+        // Lane snapshots are collected before taking the metrics lock
+        // (inference workers acquire metrics → lane.lat; acquiring in the
+        // reverse order here would risk deadlock).
+        let lanes: Vec<LaneMetrics> = queue
             .lanes
             .iter()
-            .map(|l| LaneMetrics {
+            .zip(admission)
+            .map(|(l, (depth, shed))| LaneMetrics {
                 name: l.spec.name.clone(),
                 model: l.spec.model.clone(),
-                depth: l.depth.load(Ordering::Relaxed),
+                depth,
                 completed: l.completed.load(Ordering::Relaxed),
-                shed: l.shed.load(Ordering::Relaxed),
+                shed,
                 p99_us: l.p99_us(),
             })
             .collect();
-        let m = self.shared.lock();
+        let m = queue.metrics();
         let mut meter = m.meter;
         meter.close(t);
         LiveMetrics {
@@ -1548,12 +1562,12 @@ impl LiveServer {
             latency: m.latency.summary(),
             breakdown: m.breakdown.clone(),
             completed: meter.count(),
-            rejected: m.rejected,
-            expired: m.expired,
+            rejected,
+            expired,
             forward_calls: m.forward_calls,
             mean_batch: m.batch_sizes.mean(),
-            queue_depth_mean: m.queue_depth.time_average(t),
-            queue_depth_peak: m.queue_depth.peak(),
+            queue_depth_mean: depth.time_average(t),
+            queue_depth_peak: depth.peak(),
             inference_wall: Duration::from_secs_f64(m.inference_wall_s),
             backend_threads: stats.threads,
             parallel_efficiency: stats.efficiency(),
@@ -1567,16 +1581,11 @@ impl LiveServer {
     /// from the server's lifetime handle so the executor can run on its
     /// own thread. See [`PipelineHandle`].
     pub fn pipeline_handle(&self) -> PipelineHandle {
-        let ingress = self
-            .ingress
-            .as_ref()
-            .expect("pipeline_handle on a live server");
         PipelineHandle {
             ingress: Ingress {
                 trace: self.tracer.register("pipeline"),
-                ..ingress.clone()
+                ..self.ingress.clone()
             },
-            queue_cap: self.queue_cap,
         }
     }
 
@@ -1635,20 +1644,17 @@ pub trait PipelineDriver: Send + Sync {
 /// cascade stage accounting into the shared breakdown, trace access, and
 /// the ingress capacity that bounds fan-out admission.
 ///
-/// The handle holds an ingress sender clone, so a live handle keeps the
-/// server's worker pipeline open: drop executors (or register them with
-/// [`LiveServer::register_pipeline`], which drops them for you) before
-/// expecting server shutdown to complete.
+/// The handle keeps no worker alive: once its server has shut down, a
+/// submission answers [`LiveError::Disconnected`].
 pub struct PipelineHandle {
     ingress: Ingress,
-    queue_cap: usize,
 }
 
 impl std::fmt::Debug for PipelineHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineHandle")
             .field("lanes", &self.ingress.queue.lanes.len())
-            .field("queue_cap", &self.queue_cap)
+            .field("queue_cap", &self.ingress.queue.cap)
             .finish()
     }
 }
@@ -1674,7 +1680,7 @@ impl PipelineHandle {
     /// fan-out reservation rule admits against (a pipeline whose
     /// worst-case sub-request count exceeds it can never be admitted).
     pub fn queue_cap(&self) -> usize {
-        self.queue_cap
+        self.ingress.queue.cap
     }
 
     /// Server-wide default deadline ([`LiveOptions::deadline`]).
@@ -1698,12 +1704,7 @@ impl PipelineHandle {
     /// [`LiveMetrics::breakdown`] / [`ServingSummary`](crate::report)
     /// alongside the per-request stage rows.
     pub fn record_stage(&self, stage: &str, secs: f64) {
-        self.ingress
-            .queue
-            .shared
-            .lock()
-            .breakdown
-            .record(stage, secs);
+        self.ingress.queue.metrics().breakdown.record(stage, secs);
     }
 
     /// Lane-addressed submission with **reserved** ingress capacity: the
@@ -1712,10 +1713,12 @@ impl PipelineHandle {
     /// but an admitted sub-request *blocks* on a full ingress queue
     /// instead of shedding [`LiveError::Overloaded`]. The preprocessing
     /// pool drains ingress independently of any pipeline executor, so the
-    /// blocking send always terminates — this is what makes a bounded
-    /// queue unable to deadlock a half-finished parent whose children the
-    /// executor already promised to submit (DESIGN §16). Every outcome
-    /// goes to `reply` exactly once.
+    /// wait always ends — this is what makes a bounded queue unable to
+    /// deadlock a half-finished parent whose children the executor
+    /// already promised to submit (DESIGN §16). A submission after the
+    /// server's shutdown, or one still waiting when it starts, answers
+    /// [`LiveError::Disconnected`]. Every outcome goes to `reply` exactly
+    /// once.
     pub fn submit_reserved(
         &self,
         lane: usize,
@@ -1731,23 +1734,16 @@ impl PipelineHandle {
 
 impl Drop for LiveServer {
     fn drop(&mut self) {
-        // Pipeline drivers first: their executors hold ingress sender
-        // clones (inside PipelineHandles) and rely on the still-running
-        // workers to retire in-flight sub-requests, so they must shut
-        // down while the server is fully alive. Only then can closing
-        // our ingress copy actually disconnect the channel.
+        // Pipeline drivers first: their executors rely on the running
+        // workers to retire in-flight sub-requests, so they shut down
+        // while the server is fully alive.
         self.pipelines
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
-        self.ingress.take(); // close ingress: workers drain and exit
-                             // Once the preprocessing workers are gone nothing can push, so the
-                             // inference workers may drain the lanes and exit.
-        for h in self.preproc.drain(..) {
-            let _ = h.join();
-        }
-        self.queue.close();
-        for h in self.handles.drain(..) {
+        // Then close: the workers drain what was admitted and exit.
+        self.ingress.queue.close();
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -3046,5 +3042,97 @@ mod tests {
         }
         let m = server.metrics();
         assert_eq!((m.completed, m.lanes[0].shed), (21, 0));
+    }
+
+    /// A [`PipelineHandle`] keeps no worker alive: the server's drop
+    /// returns while one is held, and a reserved submission after it
+    /// answers `Disconnected` exactly once.
+    #[test]
+    fn a_held_pipeline_handle_does_not_keep_the_server_alive() {
+        let server = tiny_server(4);
+        let handle = server.pipeline_handle();
+        let jpeg = synthetic_jpeg(&ImageSpec::new(40, 40, 0), 36);
+        let (reply, rx) = Reply::channel();
+        handle.submit_reserved(0, jpeg.clone(), None, None, reply);
+        assert_eq!(rx.recv().unwrap().unwrap().output.len(), 10);
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(server);
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the drop returns while a handle is held");
+        let (tx, rx) = mpsc::channel();
+        let reply = Reply::new(move |r| {
+            let _ = tx.send(r);
+        });
+        handle.submit_reserved(0, jpeg, None, None, reply);
+        let replies: Vec<_> = rx.iter().collect();
+        assert_eq!(replies.len(), 1, "one reply");
+        assert!(matches!(replies[0], Err(LiveError::Disconnected)));
+    }
+
+    /// A reserved submission waiting on a full ingress FIFO when the
+    /// server drops gets exactly one reply, `Disconnected`, and the drop
+    /// returns once the workers have drained what was admitted.
+    #[test]
+    fn a_reserved_submit_blocked_on_a_full_fifo_is_answered_once_on_drop() {
+        let model = Model::from_graph(models::micro_cnn(32, 10).unwrap(), 3);
+        let server = LiveServer::start(
+            model,
+            LiveOptions {
+                preproc_workers: 1,
+                queue_cap: 1,
+                ..tiny_opts(4)
+            },
+        );
+        let handle = server.pipeline_handle();
+        let jpeg = synthetic_jpeg(&ImageSpec::new(40, 40, 0), 37);
+        // The only preprocessing worker is parked inside the reply of a
+        // request it failed to decode, and a filler takes the one slot.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        server.submit_request(Request::new(
+            vec![1, 2, 3],
+            Reply::new(move |r| {
+                let _ = entered_tx.send(r);
+                let _ = gate_rx.recv();
+            }),
+        ));
+        assert!(matches!(entered_rx.recv(), Ok(Err(LiveError::Decode(_)))));
+        let filler = server.submit(jpeg.clone());
+        let (tx, rx) = mpsc::channel();
+        let submitter = std::thread::spawn(move || {
+            let reply = Reply::new(move |r| {
+                let _ = tx.send(r);
+            });
+            handle.submit_reserved(0, jpeg, None, None, reply);
+        });
+        let by = Instant::now() + Duration::from_secs(10);
+        while server.ingress.queue.lock().waiting[Cv::Room as usize] == 0 {
+            assert!(Instant::now() < by, "the reserved submission never waited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(server);
+            let _ = done_tx.send(());
+        });
+        // The close answers the waiting submission while the worker is
+        // still parked.
+        let first = rx.recv_timeout(Duration::from_secs(30));
+        assert!(
+            matches!(first, Ok(Err(LiveError::Disconnected))),
+            "{first:?}"
+        );
+        submitter.join().unwrap();
+        assert!(rx.try_recv().is_err(), "a second reply");
+        gate_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the drop returns");
+        // The filler was admitted before the close: the drain serves it.
+        assert_eq!(filler.recv().unwrap().unwrap().output.len(), 10);
     }
 }

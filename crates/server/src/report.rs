@@ -115,27 +115,6 @@ impl ServingSummary {
         (1.0 - self.inference_share()).max(0.0)
     }
 
-    /// Summed mean seconds of every cascade row
-    /// ([`stages::CASCADE_PREFIX`]) — the per-pipeline stage walls the
-    /// pipeline executor records. Zero when no cascades ran.
-    pub fn cascade_time(&self) -> f64 {
-        self.breakdown
-            .stage_names()
-            .into_iter()
-            .filter(|s| s.starts_with(stages::CASCADE_PREFIX))
-            .map(|s| self.breakdown.mean(s))
-            .sum()
-    }
-
-    /// Fraction of mean latency attributed to cascade stage rows.
-    pub fn cascade_share(&self) -> f64 {
-        if self.latency.mean <= 0.0 {
-            0.0
-        } else {
-            self.cascade_time() / self.latency.mean
-        }
-    }
-
     /// Fraction of mean latency attributed to `stage`.
     pub fn stage_share(&self, stage: &str) -> f64 {
         if self.latency.mean <= 0.0 {

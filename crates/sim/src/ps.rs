@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use vserve_metrics::TimeWeightedGauge;
-
 use crate::{SimDuration, SimTime};
 
 /// Minimum bytes of slack below which a transfer counts as finished.
@@ -66,7 +64,6 @@ pub struct SharedBandwidth {
     jobs: HashMap<u64, f64>,
     next_id: u64,
     epoch: u64,
-    active_gauge: TimeWeightedGauge,
     /// Total bytes ever offered to the link (accumulated in `start` call
     /// order). Completed bytes are derived as `offered - in_flight`, so a
     /// finished job contributes exactly its requested size — no rounding
@@ -93,7 +90,6 @@ impl SharedBandwidth {
             jobs: HashMap::new(),
             next_id: 0,
             epoch: 0,
-            active_gauge: TimeWeightedGauge::new(0.0, 0.0),
             offered: 0.0,
         }
     }
@@ -154,8 +150,6 @@ impl SharedBandwidth {
         self.offered += bytes;
         self.jobs.insert(id, bytes);
         self.epoch += 1;
-        self.active_gauge
-            .set(now.as_secs_f64(), self.jobs.len() as f64);
         id
     }
 
@@ -202,15 +196,8 @@ impl SharedBandwidth {
         }
         if !done.is_empty() {
             self.epoch += 1;
-            self.active_gauge
-                .set(now.as_secs_f64(), self.jobs.len() as f64);
         }
         done
-    }
-
-    /// Time-averaged number of concurrent transfers as of `now`.
-    pub fn avg_active(&self, now: SimTime) -> f64 {
-        self.active_gauge.time_average(now.as_secs_f64())
     }
 }
 

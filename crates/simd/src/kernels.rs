@@ -526,7 +526,16 @@ mod tests {
             .collect()
     }
 
+    /// The dispatch level is process-wide: every test that sets it holds
+    /// this lock, so no test runs its kernels at a level another one set.
+    static LEVEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn level_lock() -> std::sync::MutexGuard<'static, ()> {
+        LEVEL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn for_each_level(mut f: impl FnMut(Level)) {
+        let _level = level_lock();
         for l in available_levels() {
             assert_eq!(set_level(l), l);
             f(l);
@@ -536,6 +545,7 @@ mod tests {
 
     #[test]
     fn env_override_and_clamp() {
+        let _level = level_lock();
         // Unsupported levels clamp to scalar, supported ones stick.
         for l in [Level::Scalar, Level::Neon, Level::Avx2, Level::Avx512] {
             let applied = set_level(l);
@@ -801,6 +811,7 @@ mod tests {
         }
         let (a, b, c) = (1.000_000_1f32, 1.000_000_1, -1.000_000_2);
         let want = a * b + c; // two roundings, what scalar code does
+        let _level = level_lock();
         for l in available_levels() {
             set_level(l);
             let got = crate::dispatch(Probe { a, b, c });
@@ -824,6 +835,7 @@ mod tests {
             }
         }
         let vals = pseudo(99, MAX_LANES, 1000.0);
+        let _level = level_lock();
         for l in available_levels() {
             set_level(l);
             let got = crate::dispatch(Probe(&vals));
@@ -859,6 +871,7 @@ mod tests {
         }
         let a = pseudo(7, 37, 10.0);
         let b = pseudo(8, 37, 10.0);
+        let _level = level_lock();
         for l in available_levels() {
             set_level(l);
             let (mut mn, mut mx) = (vec![0f32; 37], vec![0f32; 37]);

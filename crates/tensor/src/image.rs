@@ -111,11 +111,6 @@ impl Image {
         self.format.channels()
     }
 
-    /// Total pixel count (`width × height`).
-    pub fn pixel_count(&self) -> usize {
-        self.width * self.height
-    }
-
     /// Length of the raw buffer in bytes.
     pub fn raw_len(&self) -> usize {
         self.data.len()
@@ -129,11 +124,6 @@ impl Image {
     /// Mutable borrow of the interleaved bytes.
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
-    }
-
-    /// Consumes the image, returning the raw buffer.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
     }
 
     #[inline]

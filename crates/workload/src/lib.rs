@@ -145,18 +145,6 @@ impl Arrivals {
             }
         }
     }
-
-    /// Long-run mean arrival rate, requests/second.
-    pub fn mean_rate(&self) -> f64 {
-        match self {
-            Arrivals::Poisson { rate } | Arrivals::Deterministic { rate } => *rate,
-            Arrivals::Bursty {
-                burst_rate,
-                idle_rate,
-                ..
-            } => (burst_rate + idle_rate) / 2.0,
-        }
-    }
 }
 
 /// A distribution over request image sizes.

@@ -1095,6 +1095,17 @@ fn large_payload_arrives_byte_exact_beside_a_dribbling_client() {
     }
     dribbler.join().expect("dribbler thread");
 
+    // The dribbler's connection closes on the server's own schedule: wait
+    // until only the client's is left, so the two reads below see the
+    // same connections.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics().active > 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the dribbler's connection never closed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let m = server.metrics();
     assert_eq!(m.bad_frames, 0);
     assert_eq!(
